@@ -10,7 +10,8 @@ import argparse
 import json
 import sys
 
-from .compressed import EDIT, HAMMING, report_occurrences_compressed
+from .compressed import EDIT, HAMMING, count_occurrences_compressed, \
+    report_occurrences_compressed
 from .edit import analyze_ed, edit_occurrences
 from .hamming import ApproxPeriod, Breaks, RepetitiveRegions, analyze_hd, mismatch_occurrences
 from .pillar import ContractError, OccurrenceSet
@@ -90,6 +91,11 @@ def _run_search(args) -> int:
     if tkind == "slp":
         g_t = tval
         g_p = pval if pkind == "slp" else left_comb_slp(pval, g_t.params)
+        if args.count and not args.oracle:
+            # the total alone costs O(grammar); reporting would cost O(occ)
+            total = count_occurrences_compressed(g_t, g_p, args.k, args.metric, jobs=args.jobs)
+            print(f"total={total}")
+            return 0
         occ = report_occurrences_compressed(g_t, g_p, args.k, args.metric, jobs=args.jobs)
         text_bytes = g_t.extract(0, g_t.length) if args.oracle else None
         pattern_bytes = g_p.extract(0, g_p.length) if args.oracle else None

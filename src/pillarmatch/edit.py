@@ -18,7 +18,7 @@ import numpy as np
 
 from .hamming import ApproxPeriod, Breaks, MARK_DIV, PatternAnalysis, RepetitiveRegions
 from .pillar import (ArithmeticProgression, ContractError, Fragment, OccurrenceSet,
-                     exact_matches, extract, lcp_power, period)
+                     _lcp_bytes, exact_matches, extract, lcp_power, period)
 
 _NEG = -(1 << 60)
 
@@ -141,24 +141,6 @@ class EditGeneratorR:
 
 
 # -- bounded alignment cost probes ------------------------------------------
-
-def _lcp_bytes(a: bytes, b: bytes, i: int, j: int, cap: int) -> int:
-    """Longest common prefix of a[i:] and b[j:], at most cap; slice compares."""
-    if cap <= 0 or a[i] != b[j]:
-        return 0
-    lo, step = 1, 1
-    while lo + step <= cap and a[i + lo:i + lo + step] == b[j + lo:j + lo + step]:
-        lo += step
-        step *= 2
-    hi = min(cap, lo + step)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[i + lo:i + mid] == b[j + lo:j + mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
 
 def _min_cost_window(pb: bytes, tb: bytes, wlo: int, whi: int, k: int) -> int | None:
     """min over r of delta_E(pb, tb[wlo:wlo+r)) with r <= whi-wlo, if <= k."""

@@ -172,6 +172,24 @@ class OccurrenceSet:
         return f"OccurrenceSet[{inner}]"
 
 
+def _lcp_bytes(a: bytes, b: bytes, i: int, j: int, cap: int) -> int:
+    """Longest common prefix of a[i:] and b[j:], at most cap; slice compares."""
+    if cap <= 0 or a[i] != b[j]:
+        return 0
+    lo, step = 1, 1
+    while lo + step <= cap and a[i + lo:i + lo + step] == b[j + lo:j + lo + step]:
+        lo += step
+        step *= 2
+    hi = min(cap, lo + step)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[i + lo:i + mid] == b[j + lo:j + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # Toolbox operations built on the primitive interface.
 # ---------------------------------------------------------------------------

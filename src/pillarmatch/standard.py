@@ -1,11 +1,15 @@
-"""Plain in-memory backend: byte strings plus a suffix-array LCE index.
+"""Plain in-memory backend: byte strings plus suffix-array LCE indices.
 
-All registered strings (and their reverses, which serve the suffix-side
-queries) are laid out in one integer corpus with unique separator values.
-The longest-common-extension structure -- suffix array, lcp array, and a
-blocked range-minimum table -- is built lazily on the first lcp query;
-pure scanning workloads (exact matching, character access) never pay for
-it.
+Every registered string is kept with its reverse; the reverses serve the
+suffix-side queries (lcp_r and the right-to-left generators).  The two sides
+are indexed apart: the forward strings form one integer corpus and the
+reversed strings another, each string followed by a unique negative
+separator.  A side's longest-common-extension structure -- suffix array, lcp
+array, and a blocked range-minimum table -- is built on the first lcp between
+two fragments of that side, so a query pays only for the side it uses, and
+pure scanning workloads (exact matching, character access) build nothing.
+An lcp between a forward and a reversed fragment is answered by galloping
+byte comparison instead.
 """
 
 from __future__ import annotations
@@ -13,30 +17,57 @@ from __future__ import annotations
 import numpy as np
 
 from .pillar import ArithmeticProgression, ContractError, EMPTY_PROGRESSION, Fragment, \
-    _progression_from_sorted
+    _lcp_bytes, _progression_from_sorted
 
 
 def _suffix_array(arr: np.ndarray) -> np.ndarray:
-    """Suffix array by prefix doubling with numpy lexsort; O(n log^2 n)."""
+    """Suffix array of an integer array by prefix doubling (Manber-Myers).
+
+    Initial ranks compare packed prefixes: symbols are renumbered 1..sigma
+    and as many as fit in 62 bits are packed into one int64, 0 standing for
+    past-the-end.  Each doubling round re-sorts only the suffixes whose rank
+    group still holds more than one suffix, by one stable argsort of the int64
+    key rank*(n+1) + second + 1, second being the rank h positions on (-1
+    past the end).  A suffix's rank is the position of its group's first
+    member in the current order, so settled suffixes are never touched
+    again.
+    """
     n = len(arr)
-    order = np.argsort(arr, kind="stable")
+    _, codes = np.unique(arr, return_inverse=True)
+    codes = codes.astype(np.int64) + 1
+    bits = int(codes.max()).bit_length()
+    width = max(1, 62 // bits)
+    packed = np.zeros(n, dtype=np.int64)
+    for j in range(min(width, n)):
+        packed[: n - j] |= codes[j:] << (bits * (width - 1 - j))
+    sa = np.argsort(packed, kind="stable")
+    key = packed[sa]
+    head = np.empty(n, dtype=bool)  # head[i]: sa[i] starts a rank group
+    head[0] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
     rank = np.empty(n, dtype=np.int64)
-    sorted_vals = arr[order]
-    groups = np.concatenate(([0], np.cumsum(sorted_vals[1:] != sorted_vals[:-1])))
-    rank[order] = groups
-    k = 1
-    while rank[order[-1]] != n - 1:
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        r1 = rank[order]
-        r2 = second[order]
-        changed = np.concatenate(([False], (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])))
-        new_rank = np.cumsum(changed)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = new_rank
-        k *= 2
-    return order
+    rank[sa] = np.maximum.accumulate(np.where(head, np.arange(n), 0))
+    h = width
+    while True:
+        alone = head & np.append(head[1:], True)
+        idx = np.flatnonzero(~alone)
+        if len(idx) == 0:
+            return sa
+        p = sa[idx]
+        second = np.zeros(len(p), dtype=np.int64)
+        nxt = p + h
+        inside = nxt < n
+        second[inside] = rank[nxt[inside]] + 1
+        key = rank[p] * (n + 1) + second
+        o = np.argsort(key, kind="stable")
+        p, key = p[o], key[o]
+        sa[idx] = p
+        brk = np.empty(len(idx), dtype=bool)
+        brk[0] = True
+        np.not_equal(key[1:], key[:-1], out=brk[1:])
+        head[idx] = brk
+        rank[p] = idx[np.maximum.accumulate(np.where(brk, np.arange(len(idx)), 0))]
+        h *= 2
 
 
 def _lcp_array(text: list[int], sa: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -94,33 +125,46 @@ class _BlockRmq:
         return best
 
 
+def _build_index(strings: list[bytes]) -> tuple[_BlockRmq, np.ndarray]:
+    """LCE structure over one side's corpus: the strings in order, each
+    followed by a unique negative separator.  Returns the range-minimum table
+    over the lcp array and the rank of every corpus position."""
+    total = sum(len(s) + 1 for s in strings)
+    corpus = np.empty(total, dtype=np.int64)
+    pos = 0
+    for i, s in enumerate(strings):
+        corpus[pos:pos + len(s)] = np.frombuffer(s, dtype=np.uint8)
+        corpus[pos + len(s)] = -1 - i
+        pos += len(s) + 1
+    sa = _suffix_array(corpus)
+    rank = np.empty(total, dtype=np.int64)
+    rank[sa] = np.arange(total)
+    return _BlockRmq(_lcp_array(corpus.tolist(), sa, rank)), rank
+
+
 class StandardBackend:
-    """In-memory strings with O(1)-style lcp/lcp_r after lazy index build."""
+    """In-memory strings with O(1)-style lcp/lcp_r after lazy index build.
+
+    Owner 2i is the i-th registered string and owner 2i+1 its reverse; both
+    start at corpus offset _offsets[i] of their side's corpus.
+    """
 
     def __init__(self, strings: list[bytes]):
         if sum(len(s) for s in strings) < 1:
             raise ContractError("backend needs at least one nonempty string")
         self._strings: list[bytes] = []
         self._offsets: list[int] = []
-        self._rev_of: list[int] = []
-        pieces: list[np.ndarray] = []
         pos = 0
-        sep = -1
         for s in strings:
-            for data in (bytes(s), bytes(s)[::-1]):
-                self._strings.append(data)
-                self._offsets.append(pos)
-                arr = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-                pieces.append(arr)
-                pieces.append(np.array([sep], dtype=np.int64))
-                pos += len(data) + 1
-                sep -= 1
-        for i in range(0, len(self._strings), 2):
-            self._rev_of.extend((i + 1, i))
-        self._corpus = np.concatenate(pieces)
-        self._corpus_list: list[int] | None = None
-        self._rank: np.ndarray | None = None
+            data = bytes(s)
+            self._strings.extend((data, data[::-1]))
+            self._offsets.append(pos)
+            pos += len(data) + 1
+        # forward-side and reversed-side LCE indices, built by _side_index
         self._rmq: _BlockRmq | None = None
+        self._rank: np.ndarray | None = None
+        self._rmq_r: _BlockRmq | None = None
+        self._rank_r: np.ndarray | None = None
 
     # -- handle plumbing ----------------------------------------------------
 
@@ -133,7 +177,7 @@ class StandardBackend:
 
     def reversed_fragment(self, f: Fragment) -> Fragment:
         n = len(self._strings[f.owner])
-        return Fragment(self._rev_of[f.owner], n - f.end, n - f.start)
+        return Fragment(f.owner ^ 1, n - f.end, n - f.start)
 
     def bytes_of(self, f: Fragment) -> bytes:
         return self._strings[f.owner][f.start:f.end]
@@ -143,37 +187,37 @@ class StandardBackend:
     def access(self, f: Fragment, i: int) -> int:
         return self._strings[f.owner][f.start + i]
 
-    def _abs(self, f: Fragment) -> int:
-        return self._offsets[f.owner] + f.start
-
-    def _ensure_index(self) -> None:
-        if self._rank is not None:
-            return
-        sa = _suffix_array(self._corpus)
-        rank = np.empty(len(sa), dtype=np.int64)
-        rank[sa] = np.arange(len(sa))
-        self._corpus_list = self._corpus.tolist()
-        lcp = _lcp_array(self._corpus_list, sa, rank)
-        # publish the guard attribute last so concurrent readers never see a
-        # half-built index
-        self._rmq = _BlockRmq(lcp)
-        self._rank = rank
+    def _side_index(self, side: int) -> tuple[_BlockRmq, np.ndarray]:
+        """The side's (rmq, rank), built on first use.  The rank attribute is
+        the guard and is assigned last, so concurrent readers never see a
+        half-built index."""
+        if side:
+            if self._rank_r is None:
+                self._rmq_r, self._rank_r = _build_index(self._strings[1::2])
+            return self._rmq_r, self._rank_r
+        if self._rank is None:
+            self._rmq, self._rank = _build_index(self._strings[0::2])
+        return self._rmq, self._rank
 
     def lcp(self, a: Fragment, b: Fragment) -> int:
         la, lb = len(a), len(b)
         if la == 0 or lb == 0:
             return 0
-        pa, pb = self._abs(a), self._abs(b)
-        if pa == pb:
-            return min(la, lb)
         sa_, sb_ = self._strings[a.owner], self._strings[b.owner]
         if sa_[a.start] != sb_[b.start]:
             return 0
-        self._ensure_index()
-        ra, rb = int(self._rank[pa]), int(self._rank[pb])
+        side = a.owner & 1
+        if side != b.owner & 1:
+            return _lcp_bytes(sa_, sb_, a.start, b.start, min(la, lb))
+        pa = self._offsets[a.owner >> 1] + a.start
+        pb = self._offsets[b.owner >> 1] + b.start
+        if pa == pb:
+            return min(la, lb)
+        rmq, rank = self._side_index(side)
+        ra, rb = int(rank[pa]), int(rank[pb])
         if ra > rb:
             ra, rb = rb, ra
-        return min(self._rmq.query(ra + 1, rb + 1), la, lb)
+        return min(rmq.query(ra + 1, rb + 1), la, lb)
 
     def lcp_r(self, a: Fragment, b: Fragment) -> int:
         return self.lcp(self.reversed_fragment(a), self.reversed_fragment(b))

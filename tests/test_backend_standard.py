@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from pillarmatch import ContractError, extract
-from pillarmatch.standard import StandardBackend
+from pillarmatch.standard import StandardBackend, _suffix_array
 
 
 def naive_lcp(a: bytes, b: bytes) -> int:
@@ -90,3 +91,55 @@ def test_index_is_lazy():
     assert b._rank is None  # scanning never builds the index
     b.lcp(extract(b.handle(0), 0, 3), extract(b.handle(0), 3, 6))
     assert b._rank is not None
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 4, 256])
+def test_suffix_array_matches_naive(sigma):
+    rng = random.Random(23 + sigma)
+    for _ in range(40):
+        corpus: list[int] = []
+        for sep in range(rng.randrange(1, 4)):
+            if rng.random() < 0.3:  # a^n: the most doubling rounds
+                piece = [rng.randrange(sigma)] * rng.randrange(0, 300)
+            else:
+                piece = [rng.randrange(sigma) for _ in range(rng.randrange(0, 300))]
+            corpus += piece + [-1 - sep]
+        want = sorted(range(len(corpus)), key=lambda i: corpus[i:])
+        assert _suffix_array(np.array(corpus, dtype=np.int64)).tolist() == want
+
+
+def test_each_side_builds_its_own_index():
+    text = b"abracadabra" * 3
+    fwd = StandardBackend([text])
+    h = fwd.handle(0)
+    fwd.lcp(extract(h, 0, 11), extract(h, 11, 22))
+    assert fwd._rank is not None and fwd._rank_r is None
+
+    rev = StandardBackend([text])
+    h = rev.handle(0)
+    assert rev.lcp_r(extract(h, 0, 11), extract(h, 11, 22)) == 11
+    assert rev._rank is None and rev._rank_r is not None
+
+    scan = StandardBackend([b"abra", text])
+    scan.scan_exact(scan.handle(0), scan.handle(1))
+    scan.ipm(scan.handle(0), extract(scan.handle(1), 0, 8))
+    assert scan._rank is None and scan._rank_r is None
+
+
+def test_cross_side_lcp_matches_naive():
+    rng = random.Random(24)
+    strings = [bytes(rng.randrange(2) + 97 for _ in range(rng.randrange(1, 60)))
+               for _ in range(3)]
+    b = StandardBackend(strings)
+    for _ in range(500):
+        i, j = rng.randrange(3), rng.randrange(3)
+        si, sj = strings[i], strings[j]
+        a1 = rng.randrange(len(si) + 1)
+        a2 = rng.randrange(a1, len(si) + 1)
+        b1 = rng.randrange(len(sj) + 1)
+        b2 = rng.randrange(b1, len(sj) + 1)
+        fa = extract(b.handle(i), a1, a2)
+        fb = b.reversed_fragment(extract(b.handle(j), b1, b2))
+        assert b.lcp(fa, fb) == naive_lcp(si[a1:a2], sj[b1:b2][::-1])
+        assert b.lcp(fb, fa) == naive_lcp(sj[b1:b2][::-1], si[a1:a2])
+    assert b._rank is None and b._rank_r is None

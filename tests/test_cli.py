@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from pillarmatch import cli
 from pillarmatch.slp import format_slp, left_comb_slp, parse_slp
 
 FIG_GRAMMAR = b"""SLP v1 5 5
@@ -48,6 +50,23 @@ def test_count_mode_slp(tmp_path):
                  "--pattern-slp", str(aab), "--text-slp", str(fig), "--count")
     assert res.returncode == 0
     assert res.stdout == "total=2\n"
+
+
+def test_count_mode_slp_huge_text(tmp_path, capsys):
+    """--count on a^(2^40) is answered from the grammar, not from 2^40 outputs."""
+    e = 40
+    rules = ["1 = 'a'"] + [f"{i + 1} = {i} {i}" for i in range(1, e + 1)]
+    huge = tmp_path / "huge.slp"
+    huge.write_text(f"SLP v1 {e + 1} {e + 1}\n" + "\n".join(rules) + "\n")
+    # every window aaaa is one mismatch from aaab; edits also reach one start more
+    for metric, total in (("hamming", 2 ** e - 3), ("edit", 2 ** e - 2)):
+        t0 = time.perf_counter()
+        rc = cli.main(["search", "--metric", metric, "-k", "1", "--pattern-lit", "aaab",
+                       "--text-slp", str(huge), "--count"])
+        elapsed = time.perf_counter() - t0
+        assert rc == 0
+        assert capsys.readouterr().out == f"total={total}\n"
+        assert elapsed < 1.0
 
 
 def test_json_mode():
