@@ -1,7 +1,8 @@
 """Command-line interface: approximate search and pattern-structure reports.
 
-Exit codes: 0 success, 1 oracle cross-check mismatch, 2 unreadable file,
-3 malformed grammar file, 4 bad threshold.
+Exit codes: 0 success, 1 oracle cross-check mismatch, 2 unreadable file or
+usage error (unknown option, missing or invalid argument; argparse prints
+the usage), 3 malformed grammar file, 4 bad threshold.
 """
 
 from __future__ import annotations
@@ -93,10 +94,10 @@ def _run_search(args) -> int:
         g_p = pval if pkind == "slp" else left_comb_slp(pval, g_t.params)
         if args.count and not args.oracle:
             # the total alone costs O(grammar); reporting would cost O(occ)
-            total = count_occurrences_compressed(g_t, g_p, args.k, args.metric, jobs=args.jobs)
+            total = count_occurrences_compressed(g_t, g_p, args.k, args.metric)
             print(f"total={total}")
             return 0
-        occ = report_occurrences_compressed(g_t, g_p, args.k, args.metric, jobs=args.jobs)
+        occ = report_occurrences_compressed(g_t, g_p, args.k, args.metric)
         text_bytes = g_t.extract(0, g_t.length) if args.oracle else None
         pattern_bytes = g_p.extract(0, g_p.length) if args.oracle else None
     else:
@@ -168,8 +169,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="cross-check against the brute-force reference")
     search.add_argument("--seed", type=int, default=None,
                         help="fingerprint seed (overrides PM_SEED)")
-    search.add_argument("--jobs", type=int, default=1,
-                        help="parallel window workers for grammar-compressed texts")
 
     analyze = subs.add_parser("analyze", help="report the pattern's structure")
     analyze.add_argument("--metric", choices=[HAMMING, EDIT], required=True)

@@ -11,8 +11,6 @@ count-pruned parse-tree walk reports positions.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .edit import edit_occurrences
 from .hamming import mismatch_occurrences
 from .pillar import ContractError, OccurrenceSet, extract
@@ -85,32 +83,20 @@ def _crossing_positions(g_t: Slp, sym: int, bundle: PatternBundle, k: int,
     w = backend.handle(1)
     match = _matcher(metric)
     analysis = bundle.analysis(metric, k)
-    occ = match(backend, p, w, k, analysis) if analysis is not None else match(backend, p, w, k)
-    starts = [pos for pos in occ.positions() if pos < bl]
+    starts = [pos for pos in match(backend, p, w, k, analysis).positions() if pos < bl]
     if metric == EDIT and starts:
-        inside = match(backend, p, extract(w, 0, bl), k, analysis) \
-            if analysis is not None else match(backend, p, extract(w, 0, bl), k)
+        inside = match(backend, p, extract(w, 0, bl), k, analysis)
         drop = {pos for pos in inside.positions() if pos < bl}
         starts = [pos for pos in starts if pos not in drop]
     base = beta - bl
     return [base + pos for pos in starts]
 
 
-def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int, metric: str,
-                jobs: int = 1) -> tuple[dict[int, int], dict[int, list[int]]]:
+def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int,
+                metric: str) -> tuple[dict[int, int], dict[int, list[int]]]:
     t = g_t.t
-    n_sym = g_t.n_symbols
-    binary = [a for a in range(n_sym) if t.left[a] >= 0]
-    crossing: dict[int, list[int]] = {}
-    bundle.analysis(metric, k)  # warm the cache before any worker threads start
-    if jobs > 1 and len(binary) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for sym, res in zip(binary, pool.map(
-                    lambda a: _crossing_positions(g_t, a, bundle, k, metric), binary)):
-                crossing[sym] = res
-    else:
-        for sym in binary:
-            crossing[sym] = _crossing_positions(g_t, sym, bundle, k, metric)
+    crossing = {sym: _crossing_positions(g_t, sym, bundle, k, metric)
+                for sym in range(g_t.n_symbols) if t.left[sym] >= 0}
     counts: dict[int, int] = {}
     order = Slp._toposort(t.left, t.right)
     for sym in order:
@@ -121,26 +107,24 @@ def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int, metric: str,
     return counts, crossing
 
 
-def count_occurrences_compressed(g_t: Slp, g_p: Slp, k: int, metric: str,
-                                 jobs: int = 1) -> int:
+def count_occurrences_compressed(g_t: Slp, g_p: Slp, k: int, metric: str) -> int:
     """|Occ_k| of gen(g_p) in gen(g_t) for the chosen metric."""
     bundle = build_pattern_once(g_p)
     if not 0 <= k <= len(bundle.data):
         raise ContractError("threshold must satisfy 0 <= k <= |pattern|")
-    counts, _ = _per_symbol(g_t, bundle, k, metric, jobs)
+    counts, _ = _per_symbol(g_t, bundle, k, metric)
     total = counts[g_t.start]
     if metric == EDIT and len(bundle.data) <= k:
         total += 1  # the empty suffix at position |text|
     return total
 
 
-def report_occurrences_compressed(g_t: Slp, g_p: Slp, k: int, metric: str,
-                                  jobs: int = 1) -> OccurrenceSet:
+def report_occurrences_compressed(g_t: Slp, g_p: Slp, k: int, metric: str) -> OccurrenceSet:
     """Absolute occurrence positions in gen(g_t), skipping barren subtrees."""
     bundle = build_pattern_once(g_p)
     if not 0 <= k <= len(bundle.data):
         raise ContractError("threshold must satisfy 0 <= k <= |pattern|")
-    counts, crossing = _per_symbol(g_t, bundle, k, metric, jobs)
+    counts, crossing = _per_symbol(g_t, bundle, k, metric)
     t = g_t.t
     positions: list[int] = []
     stack = [(g_t.start, 0)]

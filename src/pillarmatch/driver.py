@@ -1,0 +1,210 @@
+"""The metric-independent half of approximate matching.
+
+Both metrics follow one scheme: sweep the pattern once into breaks,
+repetitive regions or an approximate period; cut the text into overlapping
+blocks of less than 3m/2 (+k) bytes; mark candidate starts by votes of the
+anchors' occurrences and verify them.  This module holds that scheme.  The
+metric modules supply what differs -- region growth, verification, the
+periodic matcher and the dense scan -- as arguments at call time, so each of
+those stays a plain module-level function of its metric.
+
+`pad` is the slack of a window beyond m: 0 for mismatches, k for edits
+(an edit occurrence starting at s may end anywhere up to s + m + k).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .pillar import (ArithmeticProgression, ContractError, Fragment, OccurrenceSet,
+                     exact_matches, extract, period)
+
+# Constants wired to the inequalities the drivers rely on:
+#  - break length m//(8k), break period threshold m/(128k)
+#  - a region grows until it holds delta >= 8k|R|/m errors (DENSITY), and
+#    the approximate-period route runs with d = 8k
+#  - repetitive regions stop at total length >= (3/8)m
+#  - region sub-budget k_i = floor(4k|R|/m); 8k|R|/m >= 1 gives d_i >= 2k_i,
+#    and the mark threshold m_R - m/4 stays >= m/8 > 0.
+BREAK_DIV = 8
+PERIOD_DIV = 128
+DENSITY = 8
+REGION_NUM, REGION_DEN = 3, 8
+MARK_DIV = 4
+
+
+@dataclass(frozen=True)
+class Breaks:
+    """2k disjoint aperiodic anchors; items are (offset, length) pairs."""
+    items: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class RepetitiveRegions:
+    """Disjoint near-periodic stretches; items are
+    (offset, length, period_offset, period_length)."""
+    items: tuple[tuple[int, int, int, int], ...]
+
+
+@dataclass(frozen=True)
+class ApproxPeriod:
+    """The whole pattern is close to a power of p[q_offset:q_offset+q_length)."""
+    q_offset: int
+    q_length: int
+
+
+PatternAnalysis = Breaks | RepetitiveRegions | ApproxPeriod
+
+
+def analyze(backend, p: Fragment, k: int, grow) -> PatternAnalysis:
+    """Left-to-right structural decomposition of the pattern.
+
+    Fragments of length m//(8k) become breaks when their period exceeds
+    m/(128k).  Otherwise grow(backend, p, k, j, jp, q) extends the fragment
+    p[j:jp) with period q error by error and returns either the end of a
+    repetitive region starting at j, or -- having run off the pattern's
+    end -- the final analysis (one suffix region or an approximate period).
+    """
+    m = len(p)
+    if not 1 <= k <= m:
+        raise ContractError("analysis needs 1 <= k <= m")
+    if BREAK_DIV * k > m:
+        raise ContractError("analysis needs k <= m/8")
+    block = m // (BREAK_DIV * k)
+    breaks: list[tuple[int, int]] = []
+    regions: list[tuple[int, int, int, int]] = []
+    region_total = 0
+    j = 0
+    while True:
+        jp = j + block
+        per = period(backend, extract(p, j, jp))
+        if per is None or per * PERIOD_DIV * k > m:
+            breaks.append((j, block))
+            if len(breaks) == 2 * k:
+                return Breaks(tuple(breaks))
+            j = jp
+            continue
+        end = grow(backend, p, k, j, jp, per)
+        if not isinstance(end, int):
+            return end
+        regions.append((j, end - j, j, per))
+        region_total += end - j
+        if region_total * REGION_DEN >= REGION_NUM * m:
+            return RepetitiveRegions(tuple(regions))
+        j = end
+
+
+def blocks(n: int, m: int, pad: int):
+    """Overlapping blocks t[lo:hi) of a length-n text, as (lo, hi, cut).
+
+    Block i starts at im/2 and owns the starts in [lo, cut): up to the next
+    block's start, or past the last start n-m+pad for the last block.  The
+    window t[s:s+m+pad) of every owned start s lies inside its block, or
+    runs to the text's end.  Blocks too short to hold a start are skipped.
+    """
+    count = max(1, (2 * n) // m)
+    for i in range(count):
+        lo = (i * m) // 2
+        hi = min(n, ((i + 3) * m) // 2 - 1 + pad)
+        if hi - lo >= m - pad:
+            yield lo, hi, ((i + 1) * m) // 2 if i < count - 1 else n - m + pad + 1
+
+
+def per_block(t: Fragment, m: int, pad: int, solve) -> OccurrenceSet:
+    """Union over the blocks of t of the starts each block owns.
+
+    solve(block) returns a fragment of the block and the occurrence starts
+    found there, as progressions relative to that fragment.
+    """
+    progs: list[ArithmeticProgression] = []
+    for lo, hi, cut in blocks(len(t), m, pad):
+        frag, found = solve(extract(t, lo, hi))
+        shift = frag.start - t.start
+        for a in found:
+            count = min(a.count, (cut - 1 - a.first - shift) // a.diff + 1)
+            if count > 0:
+                progs.append(ArithmeticProgression(a.first + shift, a.diff, count))
+    return OccurrenceSet.from_progressions(progs)
+
+
+def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchors,
+                     need: int, verify) -> OccurrenceSet:
+    """Verified starts among those that collect at least `need` votes.
+
+    anchors yields (hits, offset, weight): an anchor at pattern offset
+    `offset` occurs at text positions `hits`.  Without slack a hit tau
+    votes for the start tau - offset.  With slack pad, errors before the
+    anchor move it by up to pad, so votes go to pad-wide blocks of starts:
+    the block holding tau - offset, the one before and the two after.  An
+    anchor adds its weight at most once to each start or block.
+    verify(backend, p, t, k, lo, hi) returns the occurrence starts in
+    [lo, hi].
+    """
+    max_start = len(t) - len(p) + pad
+    if max_start < 0:
+        return OccurrenceSet.empty()
+    width = pad or 1
+    top = max_start // width
+    votes: dict[int, int] = {}
+    for hits, offset, weight in anchors:
+        keys = {(tau - offset) // width for tau in hits}
+        if pad:
+            keys = {key + s for key in keys for s in (-1, 0, 1, 2)}
+        for key in keys:
+            if 0 <= key <= top:
+                votes[key] = votes.get(key, 0) + weight
+    found: list[int] = []
+    for key in sorted(votes):
+        if votes[key] >= need:
+            lo = key * width
+            found.extend(verify(backend, p, t, k, lo, min(lo + width - 1, max_start)))
+    return OccurrenceSet.from_positions(found)
+
+
+def mark_breaks(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int,
+                pad: int, verify) -> OccurrenceSet:
+    """Marking by 2k aperiodic breaks: one vote per exactly matching break,
+    at least k votes to verify."""
+    anchors = ((exact_matches(backend, extract(p, off, off + ln), t).positions(), off, 1)
+               for off, ln in analysis.items)
+    return _vote_and_verify(backend, p, t, k, pad, anchors, k, verify)
+
+
+def mark_regions(backend, p: Fragment, t: Fragment, analysis: RepetitiveRegions, k: int,
+                 pad: int, periodic, verify) -> OccurrenceSet:
+    """Weighted marking by repetitive regions: region R votes |R| wherever
+    periodic() finds it within floor(4k|R|/m) errors; verify where the
+    votes reach m_R - m/4."""
+    m = len(p)
+    anchors = ((periodic(backend, extract(p, off, off + ln), t, (MARK_DIV * k * ln) // m,
+                         -(-DENSITY * k * ln // m), extract(p, qoff, qoff + qln)).positions(),
+                off, ln)
+               for off, ln, qoff, qln in analysis.items)
+    need = sum(ln for _, ln, _, _ in analysis.items) - m // MARK_DIV
+    return _vote_and_verify(backend, p, t, k, pad, anchors, need, verify)
+
+
+def occurrences(backend, p: Fragment, t: Fragment, k: int, analysis: PatternAnalysis | None,
+                pad: int, analyze, dense, periodic, breaks, regions) -> OccurrenceSet:
+    """Route a query: exact matching for k = 0, the dense scan for 8k > m,
+    else the pattern's analysis picks the periodic matcher (once, over the
+    whole text) or block-by-block marking by breaks or regions."""
+    m, n = len(p), len(t)
+    if m < 1:
+        raise ContractError("pattern must be nonempty")
+    if not 0 <= k <= m:
+        raise ContractError("threshold must satisfy 0 <= k <= m")
+    if n < m - pad:
+        return OccurrenceSet.empty()
+    if k == 0:
+        return exact_matches(backend, p, t)
+    if BREAK_DIV * k > m:
+        return dense(backend, p, t, k)
+    if analysis is None:
+        analysis = analyze(backend, p, k)
+    if isinstance(analysis, ApproxPeriod):
+        q = extract(p, analysis.q_offset, analysis.q_offset + analysis.q_length)
+        return periodic(backend, p, t, k, DENSITY * k, q)
+    marker = breaks if isinstance(analysis, Breaks) else regions
+    return per_block(t, m, pad,
+                     lambda block: (block, marker(backend, p, block, analysis, k).progressions))

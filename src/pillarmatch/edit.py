@@ -5,20 +5,23 @@ step reports the longest prefix of a string reachable from a power of a
 short period with at most c edits, one lcp probe per diagonal transition.
 On top of it sit witness finding (where in q^inf a string aligns), locked
 fragments (short pieces that pin down every error of a near-periodic
-string), a synchronized periodic matcher, and block/region marking drivers
-mirroring the mismatch side.
+string) and a synchronized periodic matcher.  Together with verification
+and region growth, that is what is particular to edits; the analysis sweep,
+the block split, marking and routing are shared with the mismatch metric in
+`driver`, run with slack k: an occurrence may end up to k bytes past m, and
+marking votes for k-wide blocks of starts.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamming import ApproxPeriod, Breaks, MARK_DIV, PatternAnalysis, RepetitiveRegions
-from .pillar import (ArithmeticProgression, ContractError, Fragment, OccurrenceSet,
-                     _lcp_bytes, exact_matches, extract, lcp_power, period)
+from .driver import (DENSITY, ApproxPeriod, Breaks, PatternAnalysis, RepetitiveRegions,
+                     analyze, mark_breaks, mark_regions, occurrences, per_block)
+from .pillar import ContractError, Fragment, OccurrenceSet, _lcp_bytes, extract, lcp_power
 
 _NEG = -(1 << 60)
 
@@ -242,57 +245,36 @@ def verify_ed(backend, p: Fragment, t: Fragment, k: int,
 # -- pattern analysis ---------------------------------------------------------
 
 def analyze_ed(backend, p: Fragment, k: int) -> PatternAnalysis:
-    """Structural decomposition of p for the edit metric.
+    """Structural decomposition of p for the edit metric (see driver.analyze)."""
+    return analyze(backend, p, k, _grow_ed)
 
-    Same sweep as the mismatch analysis, but regions grow error by error
-    through the alignment generator, and the backward pass rescans the
-    whole pattern against the rotation where the forward alignment ended.
-    """
+
+def _grow_ed(backend, p: Fragment, k: int, j: int, jp: int, q: int) -> int | PatternAnalysis:
+    """Grow p[j:jp) error by error through the alignment generator against
+    its period q.  Running off the pattern's end turns into a backward pass
+    that rescans the whole pattern against the rotation where the forward
+    alignment ended, giving one suffix region or an approximate period."""
     m = len(p)
-    if not 1 <= k <= m:
-        raise ContractError("analysis needs 1 <= k <= m")
-    if 8 * k > m:
-        raise ContractError("analysis needs k <= m/8")
-    block = m // (8 * k)
-    breaks: list[tuple[int, int]] = []
-    regions: list[tuple[int, int, int, int]] = []
-    region_total = 0
-    j = 0
-    while True:
-        jp = j + block
-        per = period(backend, extract(p, j, jp))
-        if per is None or per * 128 * k > m:
-            breaks.append((j, block))
-            if len(breaks) == 2 * k:
-                return Breaks(tuple(breaks))
-            j = jp
-            continue
-        q = per
-        qfrag = extract(p, j, j + q)
-        gen = EditGenerator(backend, extract(p, j, m), qfrag, 0)
-        delta = 0
-        qend = 0
-        while delta * m < 8 * k * (jp - j) and jp <= m:
-            pi, qend = gen.next()
-            jp = j + pi + 1
-            delta += 1
-        if jp <= m:
-            regions.append((j, jp - j, j, q))
-            region_total += jp - j
-            if region_total * 8 >= 3 * m:
-                return RepetitiveRegions(tuple(regions))
-            j = jp
-            continue
-        rgen = EditGeneratorR(backend, p, qfrag, qend % q)
-        jpp = m
-        delta = 0
-        while (jpp >= j or delta * m < 8 * k * (m - jpp)) and jpp >= 0:
-            pi, _ = rgen.next()
-            jpp = m - pi - 1
-            delta += 1
-        if jpp >= 0:
-            return RepetitiveRegions(((jpp, m - jpp, j, q),))
-        return ApproxPeriod(j, q)
+    qfrag = extract(p, j, j + q)
+    gen = EditGenerator(backend, extract(p, j, m), qfrag, 0)
+    delta = 0
+    qend = 0
+    while delta * m < DENSITY * k * (jp - j) and jp <= m:
+        pi, qend = gen.next()
+        jp = j + pi + 1
+        delta += 1
+    if jp <= m:
+        return jp
+    rgen = EditGeneratorR(backend, p, qfrag, qend % q)
+    jpp = m
+    delta = 0
+    while (jpp >= j or delta * m < DENSITY * k * (m - jpp)) and jpp >= 0:
+        pi, _ = rgen.next()
+        jpp = m - pi - 1
+        delta += 1
+    if jpp >= 0:
+        return RepetitiveRegions(((jpp, m - jpp, j, q),))
+    return ApproxPeriod(j, q)
 
 
 # -- witnesses and locked fragments -------------------------------------------
@@ -586,110 +568,39 @@ def synched_matches(backend, p: Fragment, t: Fragment, interval: tuple[int, int]
     return OccurrenceSet.from_positions(positions)
 
 
-def _clip_progressions(occ: OccurrenceSet, shift: int, lo: int, hi: int | None
-                       ) -> list[ArithmeticProgression]:
-    out = []
-    for prog in occ.progressions:
-        first = prog.first + shift
-        last = first + (prog.count - 1) * prog.diff
-        a = max(first, lo)
-        b = last if hi is None else min(last, hi - 1)
-        if a > b:
-            continue
-        steps_in = -(-(a - first) // prog.diff)
-        a = first + steps_in * prog.diff
-        if a > b:
-            continue
-        count = (b - a) // prog.diff + 1
-        out.append(ArithmeticProgression(a, prog.diff, count))
-    return out
-
-
 def periodic_matches_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
                         q: Fragment) -> OccurrenceSet:
     """All k-edit occurrences when p is within d edits of a power of q."""
-    m, n, nq = len(p), len(t), len(q)
+    m, nq = len(p), len(q)
     if d < max(1, 2 * k):
         raise ContractError("periodic matching needs d >= 2k, d >= 1")
     if 8 * d * nq > m:
         raise ContractError("periodic matching needs |q| <= m/(8d)")
-    if n < m - k:
-        return OccurrenceSet.empty()
-    progs: list[ArithmeticProgression] = []
-    blocks = max(1, (2 * n) // m)
-    for i in range(blocks):
-        lo = (i * m) // 2
-        hi = min(n, ((i + 3) * m) // 2 + k - 1)
-        if hi - lo < m - k:
-            continue
-        frag, interval = find_relevant_fragment_ed(backend, p, extract(t, lo, hi), k, d, q)
-        if frag is None or len(frag) == 0:
-            continue
-        occ = synched_matches(backend, p, frag, interval, k, d, 3 * d, q)
-        base = frag.start - t.start
-        if i < blocks - 1:
-            progs.extend(_clip_progressions(occ, base, lo, ((i + 1) * m) // 2))
-        else:
-            progs.extend(_clip_progressions(occ, base, lo, None))
-    return OccurrenceSet.from_progressions(progs)
+
+    def solve(block: Fragment):
+        frag, interval = find_relevant_fragment_ed(backend, p, block, k, d, q)
+        if not frag:
+            return block, []
+        return frag, synched_matches(backend, p, frag, interval, k, d, 3 * d, q).progressions
+
+    return per_block(t, m, k, solve)
 
 
 # -- marking drivers ------------------------------------------------------------
 
+def _verified_ed(backend, p: Fragment, t: Fragment, k: int, lo: int, hi: int) -> list[int]:
+    return [e.position for e in verify_ed(backend, p, t, k, (lo, hi))]
+
+
 def break_matches_ed(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int) -> OccurrenceSet:
     """Block-marking driver for patterns with 2k aperiodic breaks."""
-    m, n = len(p), len(t)
-    max_start = n - m + k
-    if max_start < 0:
-        return OccurrenceSet.empty()
-    marks: Counter[int] = Counter()
-    top_block = max_start // k
-    for off, ln in analysis.items:
-        b = extract(p, off, off + ln)
-        for tau in exact_matches(backend, b, t):
-            for shift in (-k, 0, k, 2 * k):
-                blk = (tau - off + shift) // k
-                if 0 <= blk <= top_block:
-                    marks[blk] += 1
-    positions = []
-    for blk, c in sorted(marks.items()):
-        if c < k:
-            continue
-        lo, hi = blk * k, min((blk + 1) * k - 1, max_start)
-        positions.extend(e.position for e in verify_ed(backend, p, t, k, (lo, hi)))
-    return OccurrenceSet.from_positions(positions)
+    return mark_breaks(backend, p, t, analysis, k, k, _verified_ed)
 
 
 def repetitive_matches_ed(backend, p: Fragment, t: Fragment,
                           analysis: RepetitiveRegions, k: int) -> OccurrenceSet:
     """Weighted block-marking driver over repetitive regions."""
-    m, n = len(p), len(t)
-    max_start = n - m + k
-    if max_start < 0:
-        return OccurrenceSet.empty()
-    m_r = sum(ln for _, ln, _, _ in analysis.items)
-    weights: Counter[int] = Counter()
-    top_block = max_start // k
-    for off, ln, qoff, qln in analysis.items:
-        k_i = (MARK_DIV * k * ln) // m
-        d_i = -(-8 * k * ln // m)
-        sub = periodic_matches_ed(backend, extract(p, off, off + ln), t, k_i, d_i,
-                                  extract(p, qoff, qoff + qln))
-        blocks_hit = set()
-        for tau in sub.positions():
-            for shift in (-k, 0, k, 2 * k):
-                blk = (tau - off + shift) // k
-                if 0 <= blk <= top_block:
-                    blocks_hit.add(blk)
-        for blk in blocks_hit:
-            weights[blk] += ln
-    positions = []
-    for blk, wgt in sorted(weights.items()):
-        if MARK_DIV * wgt < MARK_DIV * m_r - m:
-            continue
-        lo, hi = blk * k, min((blk + 1) * k - 1, max_start)
-        positions.extend(e.position for e in verify_ed(backend, p, t, k, (lo, hi)))
-    return OccurrenceSet.from_positions(positions)
+    return mark_regions(backend, p, t, analysis, k, k, periodic_matches_ed, _verified_ed)
 
 
 # -- top level -------------------------------------------------------------------
@@ -720,37 +631,5 @@ def _dense_edit_scan(backend, p: Fragment, t: Fragment, k: int) -> OccurrenceSet
 def edit_occurrences(backend, p: Fragment, t: Fragment, k: int,
                      analysis: PatternAnalysis | None = None) -> OccurrenceSet:
     """All positions i (0..n) where some t[i:j) is within k edits of p."""
-    m, n = len(p), len(t)
-    if m < 1:
-        raise ContractError("pattern must be nonempty")
-    if not 0 <= k <= m:
-        raise ContractError("threshold must satisfy 0 <= k <= m")
-    if n < m - k:
-        return OccurrenceSet.empty()
-    if k == 0:
-        return exact_matches(backend, p, t)
-    if 8 * k > m:
-        return _dense_edit_scan(backend, p, t, k)
-    if analysis is None:
-        analysis = analyze_ed(backend, p, k)
-    if isinstance(analysis, ApproxPeriod):
-        return periodic_matches_ed(backend, p, t, k, 8 * k,
-                                   extract(p, analysis.q_offset,
-                                           analysis.q_offset + analysis.q_length))
-    progs: list[ArithmeticProgression] = []
-    blocks = max(1, (2 * n) // m)
-    for i in range(blocks):
-        lo = (i * m) // 2
-        hi = min(n, ((i + 3) * m) // 2 - 1 + k)
-        if hi - lo < m - k:
-            continue
-        block = extract(t, lo, hi)
-        if isinstance(analysis, Breaks):
-            occ = break_matches_ed(backend, p, block, analysis, k)
-        else:
-            occ = repetitive_matches_ed(backend, p, block, analysis, k)
-        if i < blocks - 1:
-            progs.extend(_clip_progressions(occ, lo, lo, ((i + 1) * m) // 2))
-        else:
-            progs.extend(_clip_progressions(occ, lo, lo, None))
-    return OccurrenceSet.from_progressions(progs)
+    return occurrences(backend, p, t, k, analysis, k, analyze_ed, _dense_edit_scan,
+                       periodic_matches_ed, break_matches_ed, repetitive_matches_ed)

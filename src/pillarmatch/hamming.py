@@ -1,32 +1,24 @@
 """Pattern matching with up to k mismatches.
 
-The pipeline: analyze the pattern once (breaks / repetitive regions /
-approximate period), split the text into overlapping blocks of length
-< 3m/2, and solve each block with the driver matching the pattern's
-structure.  Occurrence sets come back as arithmetic progressions with the
+What is particular to the Hamming metric: the mismatch generators (lcp
+jumps against a power of a period), verification by lcp jumping, region
+growth for the pattern analysis, and the periodic machinery -- a relevant
+fragment locked to one rotation of the period, then one run-length sweep
+of the distances at all period-aligned alignments.  The analysis sweep, the
+block split, marking and routing are shared with the edit metric in
+`driver`.  Occurrence sets come back as arithmetic progressions with the
 approximate period's length as the difference whenever the pattern is
 nearly periodic.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
 import numpy as np
 
+from .driver import (DENSITY, ApproxPeriod, Breaks, PatternAnalysis, RepetitiveRegions,
+                     analyze, mark_breaks, mark_regions, occurrences, per_block)
 from .pillar import (ArithmeticProgression, ContractError, Fragment, OccurrenceSet,
-                     equal, exact_matches, extract, lcp_power, period, rotations)
-
-# Constants wired to the inequalities the drivers rely on:
-#  - break length m//(8k), break period threshold m/(128k)
-#  - repetitive regions stop at total length >= (3/8)m
-#  - region sub-budget k_i = floor(4k|R|/m); 8k|R|/m >= 1 gives d_i >= 2k_i,
-#    and the mark threshold m_R - m/4 stays >= m/8 > 0.
-BREAK_DIV = 8
-PERIOD_DIV = 128
-REGION_NUM, REGION_DEN = 3, 8
-MARK_DIV = 4
+                     equal, extract, lcp_power, rotations)
 
 
 class MismatchGenerator:
@@ -119,91 +111,41 @@ def verify_hd(backend, s: Fragment, t: Fragment, k: int) -> bool:
 
 # -- pattern analysis --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Breaks:
-    """2k disjoint aperiodic anchors; items are (offset, length) pairs."""
-    items: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class RepetitiveRegions:
-    """Disjoint near-periodic stretches; items are
-    (offset, length, period_offset, period_length)."""
-    items: tuple[tuple[int, int, int, int], ...]
-
-
-@dataclass(frozen=True)
-class ApproxPeriod:
-    """The whole pattern is close to a power of p[q_offset:q_offset+q_length)."""
-    q_offset: int
-    q_length: int
-
-
-PatternAnalysis = Breaks | RepetitiveRegions | ApproxPeriod
-
-
 def analyze_hd(backend, p: Fragment, k: int) -> PatternAnalysis:
-    """Left-to-right structural decomposition of the pattern.
+    """Structural decomposition of p for the mismatch metric (see driver.analyze)."""
+    return analyze(backend, p, k, _grow_hd)
 
-    Fragments of length m//(8k) become breaks when their period exceeds
-    m/(128k); otherwise they grow rightward (mismatch by mismatch against
-    the fragment's own period) into repetitive regions whose mismatch count
-    exactly meets the density ceiling.  Running off the pattern's end turns
-    into a backward extension and either one long suffix region or an
-    approximate period for the whole pattern.
-    """
+
+def _grow_hd(backend, p: Fragment, k: int, j: int, jp: int, q: int) -> int | PatternAnalysis:
+    """Grow p[j:jp) rightward mismatch by mismatch against its period q until
+    the mismatch count meets the density ceiling.  Running off the pattern's
+    end turns into a backward extension with the same alignment, giving
+    either one long suffix region or an approximate period."""
     m = len(p)
-    if not 1 <= k <= m:
-        raise ContractError("analysis needs 1 <= k <= m")
-    if 8 * k > m:
-        raise ContractError("analysis needs k <= m/8")
-    block = m // (BREAK_DIV * k)
-    breaks: list[tuple[int, int]] = []
-    regions: list[tuple[int, int, int, int]] = []
-    region_total = 0
-    j = 0
-    while True:
-        jp = j + block
-        per = period(backend, extract(p, j, jp))
-        if per is None or per * PERIOD_DIV * k > m:
-            breaks.append((j, block))
-            if len(breaks) == 2 * k:
-                return Breaks(tuple(breaks))
-            j = jp
-            continue
-        q = per
-        qfrag = extract(p, j, j + q)
-        gen = MismatchGenerator(backend, extract(p, j, m), qfrag, 0)
-        delta = 0
-        while delta * m < 8 * k * (jp - j):
-            pi = gen.next()
-            if pi is None:
-                break
-            jp = j + pi + 1
-            delta += 1
-        if delta * m >= 8 * k * (jp - j):
-            regions.append((j, jp - j, j, q))
-            region_total += jp - j
-            if region_total * REGION_DEN >= REGION_NUM * m:
-                return RepetitiveRegions(tuple(regions))
-            j = jp
-            continue
-        # Reached the end of p; extend leftward from j with the same alignment.
-        jpp = j
-        rgen = MismatchGeneratorR(backend, extract(p, 0, j), qfrag, 0)
-        while delta * m < 8 * k * (m - jpp):
-            pi = rgen.next()
-            if pi is None:
-                jpp = 0
-                break
-            jpp = pi
-            delta += 1
-        if delta * m >= 8 * k * (m - jpp):
-            # Suffix region anchored at jpp: rotate q to start there.
-            qa = j + ((jpp - j) % q)
-            return RepetitiveRegions(((jpp, m - jpp, qa, q),))
-        qa = j + ((-j) % q)
-        return ApproxPeriod(qa, q)
+    qfrag = extract(p, j, j + q)
+    gen = MismatchGenerator(backend, extract(p, j, m), qfrag, 0)
+    delta = 0
+    while delta * m < DENSITY * k * (jp - j):
+        pi = gen.next()
+        if pi is None:
+            break
+        jp = j + pi + 1
+        delta += 1
+    if delta * m >= DENSITY * k * (jp - j):
+        return jp
+    jpp = j
+    rgen = MismatchGeneratorR(backend, extract(p, 0, j), qfrag, 0)
+    while delta * m < DENSITY * k * (m - jpp):
+        pi = rgen.next()
+        if pi is None:
+            jpp = 0
+            break
+        jpp = pi
+        delta += 1
+    if delta * m >= DENSITY * k * (m - jpp):
+        # Suffix region anchored at jpp: rotate q to start there.
+        return RepetitiveRegions(((jpp, m - jpp, j + ((jpp - j) % q), q),))
+    return ApproxPeriod(j + ((-j) % q), q)
 
 
 def find_rotation(backend, k: int, q: Fragment, s: Fragment) -> int | None:
@@ -341,70 +283,41 @@ def distances_rle(backend, p: Fragment, t: Fragment, q: Fragment) -> list[tuple[
 
 def periodic_matches_hd(backend, p: Fragment, t: Fragment, k: int, d: int, q: Fragment) -> OccurrenceSet:
     """All k-mismatch occurrences when p is within d mismatches of a power of q."""
-    m, n, nq = len(p), len(t), len(q)
+    m, nq = len(p), len(q)
     if d < max(1, 2 * k):
         raise ContractError("periodic matching needs d >= 2k, d >= 1")
     if 8 * d * nq > m:
         raise ContractError("periodic matching needs |q| <= m/(8d)")
-    if n < m:
-        return OccurrenceSet.empty()
-    progs: list[ArithmeticProgression] = []
-    blocks = max(1, (2 * n) // m)
-    for i in range(blocks):
-        lo = (i * m) // 2
-        hi = min(n, ((i + 3) * m) // 2 - 1)
-        if hi - lo < m:
-            continue
-        frag = find_relevant_fragment_hd(backend, p, extract(t, lo, hi), d, q)
+
+    def solve(block: Fragment):
+        frag = find_relevant_fragment_hd(backend, p, block, d, q)
         if len(frag) < m:
-            continue
-        base = frag.start - t.start
+            return frag, []
+        progs: list[ArithmeticProgression] = []
         jq = 0
         for value, count in distances_rle(backend, p, frag, q):
             if value <= k:
-                progs.append(ArithmeticProgression(base + jq * nq, nq, count))
+                progs.append(ArithmeticProgression(jq * nq, nq, count))
             jq += count
-    return OccurrenceSet.from_progressions(progs)
+        return frag, progs
+
+    return per_block(t, m, 0, solve)
+
+
+def _verified_hd(backend, p: Fragment, t: Fragment, k: int, lo: int, hi: int) -> list[int]:
+    # Mismatch marking votes for single starts, so lo == hi.
+    return [lo] if verify_hd(backend, p, extract(t, lo, lo + len(p)), k) else []
 
 
 def break_matches_hd(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int) -> OccurrenceSet:
     """Marking driver for patterns with 2k aperiodic breaks."""
-    m, n = len(p), len(t)
-    if n < m:
-        return OccurrenceSet.empty()
-    marks: Counter[int] = Counter()
-    for off, ln in analysis.items:
-        b = extract(p, off, off + ln)
-        for tau in exact_matches(backend, b, t):
-            pos = tau - off
-            if 0 <= pos <= n - m:
-                marks[pos] += 1
-    out = [pos for pos, c in sorted(marks.items())
-           if c >= k and verify_hd(backend, p, extract(t, pos, pos + m), k)]
-    return OccurrenceSet.from_positions(out)
+    return mark_breaks(backend, p, t, analysis, k, 0, _verified_hd)
 
 
 def repetitive_matches_hd(backend, p: Fragment, t: Fragment,
                           analysis: RepetitiveRegions, k: int) -> OccurrenceSet:
     """Weighted-marking driver for patterns covered by repetitive regions."""
-    m, n = len(p), len(t)
-    if n < m:
-        return OccurrenceSet.empty()
-    m_r = sum(ln for _, ln, _, _ in analysis.items)
-    weights: Counter[int] = Counter()
-    for off, ln, qoff, qln in analysis.items:
-        k_i = (MARK_DIV * k * ln) // m
-        d_i = -(-8 * k * ln // m)
-        sub = periodic_matches_hd(backend, extract(p, off, off + ln), t, k_i, d_i,
-                                  extract(p, qoff, qoff + qln))
-        for tau in sub.positions():
-            pos = tau - off
-            if 0 <= pos <= n - m:
-                weights[pos] += ln
-    out = [pos for pos, w in sorted(weights.items())
-           if MARK_DIV * w >= MARK_DIV * m_r - m
-           and verify_hd(backend, p, extract(t, pos, pos + m), k)]
-    return OccurrenceSet.from_positions(out)
+    return mark_regions(backend, p, t, analysis, k, 0, periodic_matches_hd, _verified_hd)
 
 
 def _dense_mismatch_scan(backend, p: Fragment, t: Fragment, k: int) -> OccurrenceSet:
@@ -422,35 +335,5 @@ def _dense_mismatch_scan(backend, p: Fragment, t: Fragment, k: int) -> Occurrenc
 def mismatch_occurrences(backend, p: Fragment, t: Fragment, k: int,
                          analysis: PatternAnalysis | None = None) -> OccurrenceSet:
     """All positions i with delta_H(p, t[i:i+m)) <= k, exactly."""
-    m, n = len(p), len(t)
-    if m < 1:
-        raise ContractError("pattern must be nonempty")
-    if not 0 <= k <= m:
-        raise ContractError("threshold must satisfy 0 <= k <= m")
-    if n < m:
-        return OccurrenceSet.empty()
-    if k == 0:
-        return exact_matches(backend, p, t)
-    if 8 * k > m:
-        return _dense_mismatch_scan(backend, p, t, k)
-    if analysis is None:
-        analysis = analyze_hd(backend, p, k)
-    progs: list[ArithmeticProgression] = []
-    blocks = max(1, (2 * n) // m)
-    for i in range(blocks):
-        lo = (i * m) // 2
-        hi = min(n, ((i + 3) * m) // 2 - 1)
-        if hi - lo < m:
-            continue
-        block = extract(t, lo, hi)
-        if isinstance(analysis, Breaks):
-            occ = break_matches_hd(backend, p, block, analysis, k)
-        elif isinstance(analysis, RepetitiveRegions):
-            occ = repetitive_matches_hd(backend, p, block, analysis, k)
-        else:
-            occ = periodic_matches_hd(backend, p, block, k, 8 * k,
-                                      extract(p, analysis.q_offset,
-                                              analysis.q_offset + analysis.q_length))
-        for prog in occ.progressions:
-            progs.append(ArithmeticProgression(prog.first + lo, prog.diff, prog.count))
-    return OccurrenceSet.from_progressions(progs)
+    return occurrences(backend, p, t, k, analysis, 0, analyze_hd, _dense_mismatch_scan,
+                       periodic_matches_hd, break_matches_hd, repetitive_matches_hd)

@@ -140,13 +140,6 @@ class OccurrenceSet:
             out.extend(p)
         return out
 
-    def positions_array(self) -> np.ndarray:
-        if not self.progressions:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([
-            np.arange(p.first, p.first + p.count * p.diff, p.diff, dtype=np.int64)
-            for p in self.progressions])
-
     def union(self, other: "OccurrenceSet") -> "OccurrenceSet":
         return OccurrenceSet.from_progressions(self.progressions + other.progressions)
 
@@ -346,7 +339,3 @@ def access(backend, s: Fragment, i: int) -> int:
     if not 0 <= i < len(s):
         raise ContractError(f"access index {i} outside fragment of length {len(s)}")
     return backend.access(s, i)
-
-
-def length(s: Fragment) -> int:
-    return len(s)

@@ -222,14 +222,6 @@ class Slp:
             h2 = (h2 * b2 + t.byte[a]) % _FIELD
         return h1, h2
 
-    def substring_fingerprint(self, i: int, ln: int) -> tuple[int, int]:
-        lo = self.prefix_fingerprint(i)
-        hi = self.prefix_fingerprint(i + ln)
-        b1, b2 = self.params.bases
-        s1 = (hi[0] - lo[0] * pow(b1, ln, _FIELD)) % _FIELD
-        s2 = (hi[1] - lo[1] * pow(b2, ln, _FIELD)) % _FIELD
-        return s1, s2
-
 
 def slp_lcp(g: Slp, i: int, j: int, cap: int | None = None) -> int:
     """lcp of the suffixes gen(g)[i:] and gen(g)[j:], optionally capped."""

@@ -141,15 +141,15 @@ def test_deterministic_outputs(tmp_path, seed_args):
     assert first.stdout == second.stdout
 
 
-def test_jobs_flag(tmp_path):
+def test_usage_error_exit_2(tmp_path):
+    # argparse rejects an unknown option (here --jobs) with exit code 2
     fig = tmp_path / "fig.slp"
     fig.write_bytes(FIG_GRAMMAR)
-    a = run_pm("search", "--metric", "hamming", "-k", "1",
-               "--pattern-lit", "aab", "--text-slp", str(fig), "--jobs", "3")
-    b = run_pm("search", "--metric", "hamming", "-k", "1",
-               "--pattern-lit", "aab", "--text-slp", str(fig))
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+    res = run_pm("search", "--metric", "hamming", "-k", "1",
+                 "--pattern-lit", "aab", "--text-slp", str(fig), "--jobs", "2")
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr
+    assert res.stdout == ""
 
 
 def test_file_sources(tmp_path):

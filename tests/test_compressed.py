@@ -117,15 +117,6 @@ class TestPipelineEquivalence:
                     assert set(rep.positions()) == want
                     assert cnt == len(rep)  # count DP consistent with reporting
 
-    def test_jobs_parallel_same_result(self):
-        rng = random.Random(82)
-        g_t = random_slp(rng, 30)
-        g_p = random_slp(rng, 8, cap=32)
-        for metric in (HAMMING, EDIT):
-            a = report_occurrences_compressed(g_t, g_p, 1, metric, jobs=1)
-            b = report_occurrences_compressed(g_t, g_p, 1, metric, jobs=4)
-            assert a.positions() == b.positions()
-
     def test_no_double_counting(self):
         # text with the same nonterminal appearing many times
         base = left_comb_slp(b"aabaab")

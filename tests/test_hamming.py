@@ -380,3 +380,36 @@ class TestMismatchOccurrences:
             b = be(p, t)
             got = set(mismatch_occurrences(b, b.handle(0), b.handle(1), k).positions())
             assert got == brute_hd_occurrences(p, t, k)
+
+    def test_periodic_route_many_blocks_vs_oracle(self):
+        # Texts of 3m..4m bytes span at least 6 overlapping blocks.  Errors sit
+        # next to block starts (where ownership of starts passes to the next
+        # block), block ends, and the ends of the windows starting there.
+        rng = random.Random(50)
+        periodic = found = 0
+        for _ in range(60):
+            k = rng.choice([1, 2])
+            nq = rng.randrange(1, 3)
+            q = bytes(rng.randrange(2) + 97 for _ in range(nq))
+            m = 128 * k * nq + rng.randrange(0, 40)
+            p = bytearray((q * (m // nq + 1))[:m])
+            for _ in range(rng.randrange(0, 2 * k + 1)):
+                p[rng.randrange(m)] = 99
+            p = bytes(p)
+            n = rng.randrange(3 * m, 4 * m)
+            t = bytearray((q * (n // nq + 2))[:n])
+            edges = [x for i in range(2 * n // m + 1)
+                     for x in ((i * m) // 2, ((i + 3) * m) // 2 - 1, (i * m) // 2 + m - 1)]
+            for x in rng.sample(edges, rng.randrange(1, 4 * k + 1)):
+                pos = x + rng.randrange(-2, 3)
+                if 0 <= pos < n:
+                    t[pos] = 99
+            t = bytes(t)
+            b = be(p, t)
+            if isinstance(analyze_hd(b, b.handle(0), k), ApproxPeriod):
+                periodic += 1
+            got = mismatch_occurrences(b, b.handle(0), b.handle(1), k).positions()
+            want = brute_hd_occurrences(p, t, k)
+            assert set(got) == want
+            found += len(want)
+        assert periodic >= 40 and found > 0
