@@ -1,12 +1,14 @@
 """The metric-independent half of approximate matching.
 
 Both metrics follow one scheme: sweep the pattern once into breaks,
-repetitive regions or an approximate period; cut the text into overlapping
-blocks of less than 3m/2 (+k) bytes; mark candidate starts by votes of the
-anchors' occurrences and verify them.  This module holds that scheme.  The
-metric modules supply what differs -- region growth, verification, the
-periodic matcher and the dense scan -- as arguments at call time, so each of
-those stays a plain module-level function of its metric.
+repetitive regions or an approximate period; then either mark candidate
+starts over the whole text, by votes of the anchors' occurrences, and
+verify them, or run the periodic matcher, which cuts the text into
+overlapping blocks of less than 3m/2 (+k) bytes.  This module holds that
+scheme.  The metric modules supply what differs -- region growth,
+verification, the periodic matcher and the dense scan -- as arguments at
+call time, so each of those stays a plain module-level function of its
+metric.
 
 `pad` is the slack of a window beyond m: 0 for mismatches, k for edits
 (an edit occurrence starting at s may end anywhere up to s + m + k).
@@ -132,13 +134,20 @@ def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchor
     """Verified starts among those that collect at least `need` votes.
 
     anchors yields (hits, offset, weight): an anchor at pattern offset
-    `offset` occurs at text positions `hits`.  Without slack a hit tau
-    votes for the start tau - offset.  With slack pad, errors before the
-    anchor move it by up to pad, so votes go to pad-wide blocks of starts:
-    the block holding tau - offset, the one before and the two after.  An
-    anchor adds its weight at most once to each start or block.
-    verify(backend, p, t, k, lo, hi) returns the occurrence starts in
-    [lo, hi].
+    `offset` occurs at text positions `hits`, found over the whole text t.
+    Without slack a hit tau votes for the start tau - offset.  With slack
+    pad, errors before the anchor move it by up to pad: an anchor of an
+    occurrence at s lands within +-pad of s + offset, so (tau - offset)//pad
+    is within one of s//pad, and votes go to the pad-wide block of starts
+    holding tau - offset and its two neighbours.  An anchor adds its weight
+    at most once to each start or block, and each voted start or block is
+    verified once.  verify(backend, p, t, k, lo, hi) returns the occurrence
+    starts in [lo, hi].
+
+    Scanning the whole text rather than blocks of it loses nothing: the
+    whole-text hits are a superset of every block's hits, so every true
+    occurrence collects at least as many votes as it would in any block,
+    and verification is exact, so no false start gets through.
     """
     max_start = len(t) - len(p) + pad
     if max_start < 0:
@@ -149,7 +158,7 @@ def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchor
     for hits, offset, weight in anchors:
         keys = {(tau - offset) // width for tau in hits}
         if pad:
-            keys = {key + s for key in keys for s in (-1, 0, 1, 2)}
+            keys = {key + s for key in keys for s in (-1, 0, 1)}
         for key in keys:
             if 0 <= key <= top:
                 votes[key] = votes.get(key, 0) + weight
@@ -187,8 +196,9 @@ def mark_regions(backend, p: Fragment, t: Fragment, analysis: RepetitiveRegions,
 def occurrences(backend, p: Fragment, t: Fragment, k: int, analysis: PatternAnalysis | None,
                 pad: int, analyze, dense, periodic, breaks, regions) -> OccurrenceSet:
     """Route a query: exact matching for k = 0, the dense scan for 8k > m,
-    else the pattern's analysis picks the periodic matcher (once, over the
-    whole text) or block-by-block marking by breaks or regions."""
+    else the pattern's analysis picks the periodic matcher or marking by
+    breaks or regions.  Each runs once over the whole text; only the
+    periodic matchers cut it into blocks."""
     m, n = len(p), len(t)
     if m < 1:
         raise ContractError("pattern must be nonempty")
@@ -206,5 +216,4 @@ def occurrences(backend, p: Fragment, t: Fragment, k: int, analysis: PatternAnal
         q = extract(p, analysis.q_offset, analysis.q_offset + analysis.q_length)
         return periodic(backend, p, t, k, DENSITY * k, q)
     marker = breaks if isinstance(analysis, Breaks) else regions
-    return per_block(t, m, pad,
-                     lambda block: (block, marker(backend, p, block, analysis, k).progressions))
+    return marker(backend, p, t, analysis, k)

@@ -371,17 +371,19 @@ class LockedFragments:
 
 
 def locked(backend, s: Fragment, q: Fragment, d: int, k: int,
-           with_costs: bool = False) -> LockedFragments:
+           with_costs: bool = False, witness: tuple[int, int, int] | None = None
+           ) -> LockedFragments:
     """Compute locked fragments of s with respect to q.
 
     The optimal alignment from a witness is cut at period boundaries into
     single-period pieces carrying their error counts, then pieces merge:
     adjacent interesting pieces coalesce, and any piece with leftover
     budget swallows a clean period-copy on each side until its budget is
-    spent.  The prefix piece starts with budget k+1.
+    spent.  The prefix piece starts with budget k+1.  `witness` is
+    find_a_witness(backend, d, q, s), computed here when not given.
     """
     ns, nq = len(s), len(q)
-    w = find_a_witness(backend, d, q, s)
+    w = witness or find_a_witness(backend, d, q, s)
     if w is None:
         raise ContractError("locked() requires the string to be within d edits of a q-power")
     x, _, _ = w
@@ -451,22 +453,21 @@ def locked(backend, s: Fragment, q: Fragment, d: int, k: int,
 # -- periodic machinery --------------------------------------------------------
 
 def find_relevant_fragment_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
-                              q: Fragment) -> tuple[Fragment | None, tuple[int, int] | None]:
+                              q: Fragment, witness: tuple[int, int, int] | None = None
+                              ) -> tuple[Fragment | None, tuple[int, int] | None]:
     """Fragment of t holding every k-edit occurrence of p, plus a residue range.
 
     The returned interval I (closed, in fragment-local coordinates) covers
     occurrence start positions modulo |q|.  Returns (None, None) when the
-    text's middle window is not close to any rotation of q.
+    text's middle window is not close to any rotation of q.  `witness` is
+    p's witness (see _pattern_witness), computed here when not given.
     """
     m, n, nq = len(p), len(t), len(q)
     if 2 * n >= 3 * m + 2 * k:
         raise ContractError("relevant-fragment scan needs n < 3m/2 + k")
     if n < m - k:
         return (None, None)
-    w = find_a_witness(backend, d, q, p)
-    if w is None:
-        raise ContractError("pattern is not within d edits of a q-power")
-    x = w[0]
+    x = (witness or _pattern_witness(backend, p, d, q))[0]
     mid_lo, mid_hi = max(0, n - m + k), min(n, m - k)
     if mid_lo > mid_hi:
         raise ContractError("text too long relative to the pattern for this scan")
@@ -489,6 +490,13 @@ def find_relevant_fragment_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
     return (extract(t, left, r), (center - 3 * d, center + 3 * d))
 
 
+def _pattern_witness(backend, p: Fragment, d: int, q: Fragment) -> tuple[int, int, int]:
+    w = find_a_witness(backend, d, q, p)
+    if w is None:
+        raise ContractError("pattern is not within d edits of a q-power")
+    return w
+
+
 def _arc_runs(a: int, b: int, ilo: int, ihi: int, nq: int):
     """Maximal subranges of [a,b] whose positions are ≡ [ilo..ihi] (mod nq)."""
     if b < a:
@@ -508,13 +516,15 @@ def _arc_runs(a: int, b: int, ilo: int, ihi: int, nq: int):
 
 
 def synched_matches(backend, p: Fragment, t: Fragment, interval: tuple[int, int] | None,
-                    k: int, d: int, dp: int, q: Fragment) -> OccurrenceSet:
+                    k: int, d: int, dp: int, q: Fragment,
+                    p_locked: LockedFragments | None = None) -> OccurrenceSet:
     """k-edit occurrences of p in t whose starts are ≡ interval (mod |q|).
 
     Positions near locked fragments of either string (or near the text's
     tail) are verified directly; each remaining stretch is resolved by
     verifying one period-length window and replicating the answer along
-    the period grid.
+    the period grid.  `p_locked` is locked(backend, p, q, d, k), computed
+    here when not given.
     """
     m, n, nq = len(p), len(t), len(q)
     if interval is None:
@@ -525,7 +535,7 @@ def synched_matches(backend, p: Fragment, t: Fragment, interval: tuple[int, int]
     ilo, ihi = interval
     if ihi - ilo + 1 > nq:
         ilo, ihi = 0, nq - 1
-    lp = locked(backend, p, q, d, k).items
+    lp = (p_locked or locked(backend, p, q, d, k)).items
     lt = locked(backend, t, q, dp, 0).items
     spans: list[tuple[int, int]] = [(n - m - k, n - m + k)]
     for poff, pln in lp:
@@ -576,12 +586,21 @@ def periodic_matches_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
         raise ContractError("periodic matching needs d >= 2k, d >= 1")
     if 8 * d * nq > m:
         raise ContractError("periodic matching needs |q| <= m/(8d)")
+    if len(t) < m - k:
+        return OccurrenceSet.empty()
+    # The pattern side is the same in every block: one witness, and locked
+    # fragments once some block needs them.
+    witness = _pattern_witness(backend, p, d, q)
+    p_locked: LockedFragments | None = None
 
     def solve(block: Fragment):
-        frag, interval = find_relevant_fragment_ed(backend, p, block, k, d, q)
+        nonlocal p_locked
+        frag, interval = find_relevant_fragment_ed(backend, p, block, k, d, q, witness)
         if not frag:
             return block, []
-        return frag, synched_matches(backend, p, frag, interval, k, d, 3 * d, q).progressions
+        p_locked = p_locked or locked(backend, p, q, d, k, witness=witness)
+        return frag, synched_matches(backend, p, frag, interval, k, d, 3 * d, q,
+                                     p_locked).progressions
 
     return per_block(t, m, k, solve)
 
@@ -589,7 +608,10 @@ def periodic_matches_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
 # -- marking drivers ------------------------------------------------------------
 
 def _verified_ed(backend, p: Fragment, t: Fragment, k: int, lo: int, hi: int) -> list[int]:
-    return [e.position for e in verify_ed(backend, p, t, k, (lo, hi))]
+    # Hand verify_ed only the window the starts in [lo, hi] can reach, as it
+    # materializes its text.
+    window = extract(t, lo, min(len(t), hi + len(p) + k))
+    return [lo + e.position for e in verify_ed(backend, p, window, k, (0, hi - lo))]
 
 
 def break_matches_ed(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int) -> OccurrenceSet:

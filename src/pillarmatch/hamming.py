@@ -231,30 +231,32 @@ def find_relevant_fragment_hd(backend, p: Fragment, t: Fragment, d: int, q: Frag
     return extract(t, left, r)
 
 
-def distances_rle(backend, p: Fragment, t: Fragment, q: Fragment) -> list[tuple[int, int]]:
+def distances_rle(backend, p: Fragment, t: Fragment, q: Fragment,
+                  p_mismatches: list[tuple[int, int]] | None = None) -> list[tuple[int, int]]:
     """Run-length encoded h_j = delta_H(t[j|q| : j|q|+m), p), j = 0..(n-m)/|q|.
 
     One weighted-event sweep: each text mismatch opens/closes a sliding
     window event, and each (text, pattern) mismatch pair cancels marks where
-    the two mismatches coincide.
+    the two mismatches coincide.  `p_mismatches` is _pattern_mismatches(p,
+    q), computed here when not given.
     """
     m, n, nq = len(p), len(t), len(q)
     if n < m:
         return []
-    mis_p = mismatches(backend, p, q)
+    if p_mismatches is None:
+        p_mismatches = _pattern_mismatches(backend, p, q)
     mis_t = mismatches(backend, t, q)
     events: list[tuple[int, int]] = []
-    pchak = [backend.access(p, pi) for pi in mis_p]
     for tau in mis_t:
         events.append((tau - m, 1))
         events.append((tau, -1))
         tch = backend.access(t, tau)
-        for pi, pch in zip(mis_p, pchak):
+        for pi, pch in p_mismatches:
             a = 0 if pch == tch else 1
             events.append((tau - pi - 1, a - 2))
             events.append((tau - pi, 2 - a))
     events.sort()
-    h = len(mis_p)
+    h = len(p_mismatches)
     idx = 0
     while idx < len(events) and events[idx][0] < 0:
         h += events[idx][1]
@@ -281,6 +283,11 @@ def distances_rle(backend, p: Fragment, t: Fragment, q: Fragment) -> list[tuple[
     return runs
 
 
+def _pattern_mismatches(backend, p: Fragment, q: Fragment) -> list[tuple[int, int]]:
+    """Mis(p, q*) as (position, byte of p) pairs."""
+    return [(pi, backend.access(p, pi)) for pi in mismatches(backend, p, q)]
+
+
 def periodic_matches_hd(backend, p: Fragment, t: Fragment, k: int, d: int, q: Fragment) -> OccurrenceSet:
     """All k-mismatch occurrences when p is within d mismatches of a power of q."""
     m, nq = len(p), len(q)
@@ -289,13 +296,18 @@ def periodic_matches_hd(backend, p: Fragment, t: Fragment, k: int, d: int, q: Fr
     if 8 * d * nq > m:
         raise ContractError("periodic matching needs |q| <= m/(8d)")
 
+    p_mismatches: list[tuple[int, int]] | None = None  # the same in every block
+
     def solve(block: Fragment):
+        nonlocal p_mismatches
         frag = find_relevant_fragment_hd(backend, p, block, d, q)
         if len(frag) < m:
             return frag, []
+        if p_mismatches is None:
+            p_mismatches = _pattern_mismatches(backend, p, q)
         progs: list[ArithmeticProgression] = []
         jq = 0
-        for value, count in distances_rle(backend, p, frag, q):
+        for value, count in distances_rle(backend, p, frag, q, p_mismatches):
             if value <= k:
                 progs.append(ArithmeticProgression(jq * nq, nq, count))
             jq += count
