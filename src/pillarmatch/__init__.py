@@ -13,8 +13,8 @@ from .hamming import (ApproxPeriod, Breaks, MismatchGenerator, MismatchGenerator
                       mismatch_occurrences, mismatches, periodic_matches_hd,
                       repetitive_matches_hd, verify_hd)
 from .pillar import (ArithmeticProgression, ContractError, Fragment, OccurrenceSet,
-                     access, equal, exact_matches, extract, ipm, lcp_power,
-                     lcp_r_power, period, rotations)
+                     access, equal, exact_matches, extract, ipm, lcp_power, period,
+                     rotations)
 from .slp import (Slp, SlpBackend, SlpFormatError, format_slp, left_comb_slp,
                   parse_slp, set_fingerprint_seed, slp_access, slp_concat,
                   slp_extract, slp_lcp)

@@ -40,7 +40,12 @@ def _load_source(args, role: str):
     fil = getattr(args, f"{role}_file")
     slp = getattr(args, f"{role}_slp")
     if lit is not None:
-        return ("plain", lit.encode("latin-1"))
+        try:
+            return ("plain", lit.encode("latin-1"))
+        except UnicodeEncodeError as exc:
+            print(f"pm: --{role}-lit: {exc.object[exc.start]!r} at position {exc.start} "
+                  "is not a Latin-1 character", file=sys.stderr)
+            raise SystemExit(EXIT_FILE) from None
     if fil is not None:
         return ("plain", _read_file(fil))
     data = _read_file(slp)
@@ -53,7 +58,7 @@ def _load_source(args, role: str):
 
 def _add_source_flags(sub, role: str) -> None:
     grp = sub.add_mutually_exclusive_group(required=True)
-    grp.add_argument(f"--{role}-lit", help=f"{role} as an inline ASCII literal")
+    grp.add_argument(f"--{role}-lit", help=f"{role} as Latin-1 text, one byte per character")
     grp.add_argument(f"--{role}-file", help=f"{role} from a raw-bytes file")
     grp.add_argument(f"--{role}-slp", help=f"{role} from a grammar file")
 

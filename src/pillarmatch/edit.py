@@ -1,15 +1,17 @@
 """Pattern matching with up to k edits (insertions, deletions, substitutions).
 
-The backbone is a resumable diagonal-band alignment generator: its c-th
-step reports the longest prefix of a string reachable from a power of a
-short period with at most c edits, one lcp probe per diagonal transition.
-On top of it sit witness finding (where in q^inf a string aligns), locked
-fragments (short pieces that pin down every error of a near-periodic
-string) and a synchronized periodic matcher.  Together with verification
-and region growth, that is what is particular to edits; the analysis sweep,
-the block split, marking and routing are shared with the mismatch metric in
-`driver`, run with slack k: an occurrence may end up to k bytes past m, and
-marking votes for k-wide blocks of starts.
+All alignments are Landau-Vishkin bands: diagonals advanced by lcp jumps.
+Bounded-cost probes -- verifying candidate starts, and witness search
+(where in q^inf a string aligns best) -- share one byte-level kernel,
+`_min_cost_window`.  Where steps or a traceback are needed, a resumable
+generator on the fragment interface's lcp serves instead: its c-th step
+reports the longest prefix of a string within c edits of a prefix of a
+period's power.  It drives region growth, locked fragments (short pieces
+that pin down every error of a near-periodic string) and the synchronized
+periodic matcher.  The analysis sweep, the block split, marking and routing
+are shared with the mismatch metric in `driver`, run with slack k: an
+occurrence may end up to k bytes past m, and marking votes for k-wide
+blocks of starts.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .driver import (DENSITY, ApproxPeriod, Breaks, PatternAnalysis, RepetitiveRegions,
                      analyze, mark_breaks, mark_regions, occurrences, per_block)
-from .pillar import ContractError, Fragment, OccurrenceSet, _lcp_bytes, extract, lcp_power
+from .pillar import (ContractError, Fragment, OccurrenceSet, _lcp_bytes, extract, lcp_power,
+                     rotations)
 
 _NEG = -(1 << 60)
 
@@ -145,8 +148,16 @@ class EditGeneratorR:
 
 # -- bounded alignment cost probes ------------------------------------------
 
-def _min_cost_window(pb: bytes, tb: bytes, wlo: int, whi: int, k: int) -> int | None:
-    """min over r of delta_E(pb, tb[wlo:wlo+r)) with r <= whi-wlo, if <= k."""
+def _min_cost_window(pb: bytes, tb: bytes, wlo: int, whi: int, k: int
+                     ) -> tuple[int, int] | None:
+    """The cheapest alignment of pb against a prefix of tb[wlo:whi), if <= k.
+
+    Returns (cost, used): cost is min over r <= whi-wlo of
+    delta_E(pb, tb[wlo:wlo+r)), and used is the window length the cheapest
+    alignment consumes, m + i for the first (lowest) diagonal i to reach m
+    at that cost.  Diagonals advance by galloping byte-level lcp jumps;
+    verification and witness search both probe through this loop.
+    """
     m = len(pb)
     nw = whi - wlo
     if nw < m - k:
@@ -158,7 +169,7 @@ def _min_cost_window(pb: bytes, tb: bytes, wlo: int, whi: int, k: int) -> int | 
 
     frontier = {0: jump(0, 0)}
     if frontier[0] >= m:
-        return 0
+        return (0, m)
     for c in range(1, k + 1):
         cur: dict[int, int] = {}
         for i in range(-c, c + 1):
@@ -177,45 +188,9 @@ def _min_cost_window(pb: bytes, tb: bytes, wlo: int, whi: int, k: int) -> int | 
             r = jump(r0, i)
             cur[i] = r
             if r >= m:
-                return c
+                return (c, m + i)
         if not cur:
             return None
-        frontier = cur
-    return None
-
-
-def _min_cost_power(backend, p: Fragment, q: Fragment, start: int, k: int) -> int | None:
-    """min over y of delta_E(p, q^inf[start:y)) if at most k, else None."""
-    m = len(p)
-
-    def slide(r: int, diag: int) -> int:
-        if r >= m:
-            return r
-        return r + lcp_power(backend, extract(p, r, m), q,
-                             start + r + diag, start + 2 * m + abs(diag) + k + 1)
-
-    frontier = {0: slide(0, 0)}
-    if frontier[0] >= m:
-        return 0
-    for c in range(1, k + 1):
-        cur: dict[int, int] = {}
-        for i in range(-c, c + 1):
-            r0 = _NEG
-            base = frontier.get(i, _NEG)
-            if base != _NEG:
-                r0 = max(r0, base + 1)
-            base = frontier.get(i - 1, _NEG)
-            if base != _NEG and start + base + i - 1 >= 0:
-                r0 = max(r0, base)
-            base = frontier.get(i + 1, _NEG)
-            if base != _NEG:
-                r0 = max(r0, base + 1)
-            if r0 == _NEG or start + r0 + i < 0:
-                continue
-            r = slide(min(r0, m), i)
-            cur[i] = r
-            if r >= m:
-                return c
         frontier = cur
     return None
 
@@ -236,9 +211,9 @@ def verify_ed(backend, p: Fragment, t: Fragment, k: int,
     tb = backend.bytes_of(t)
     out: list[MatchEntry] = []
     for pos in range(lo, hi + 1):
-        cost = _min_cost_window(pb, tb, pos, min(n, pos + m + k), k)
-        if cost is not None:
-            out.append(MatchEntry(pos, cost))
+        probe = _min_cost_window(pb, tb, pos, min(n, pos + m + k), k)
+        if probe is not None:
+            out.append(MatchEntry(pos, probe[0]))
     return out
 
 
@@ -287,10 +262,24 @@ def find_a_witness(backend, k: int, q: Fragment, s: Fragment
     is more than k edits from every substring of q^inf.  Candidate
     rotations come from a voting pass over the first 2k+1 period-length
     blocks of s; short periods (or short s) fall back to trying every
-    rotation.
-    """
-    from .pillar import rotations as _rotations
+    rotation.  The lowest x of least cost wins.
 
+    Each rotation x is probed by _min_cost_window on the bytes of s against
+    one materialized stretch of q^inf, as the window [x, x + |s| + k); the
+    probe's `used` gives y = x + used.  This agrees with a Landau-Vishkin
+    loop over q^inf itself through interface lcp, whose one guard drops
+    diagonals at negative q^inf indices, and with the end an EditGenerator
+    replay from x reports:
+    - the q-side index x + r + i of every diagonal stays >= x >= 0, by
+      induction over the three transitions (from i with r+1, from i-1 with
+      r, from i+1 with r+1), and <= x + |s| + k, as r <= |s| and i <= k;
+      both loops stop once a diagonal reaches |s|; so neither that guard
+      nor the kernel's window bounds ever bind, and both loops build the
+      same frontier;
+    - the first diagonal to reach |s| at the minimal cost is the smallest
+      such i in both loops, which is the diagonal EditGenerator reports, as
+      it keeps the first i with the largest r; so y is the same.
+    """
     nq, ns = len(q), len(s)
     if nq <= 3 * k + 1 or ns < (2 * k + 1) * nq:
         lo, hi = 0, nq - 1
@@ -298,8 +287,7 @@ def find_a_witness(backend, k: int, q: Fragment, s: Fragment
         votes: list[int] = []
         for i in range(2 * k + 1):
             block = extract(s, i * nq, (i + 1) * nq)
-            rot = _rotations(backend, block, q)
-            votes.extend(rot)
+            votes.extend(rotations(backend, block, q))
         votes.sort()
         if len(votes) < k + 1:
             return None
@@ -310,26 +298,15 @@ def find_a_witness(backend, k: int, q: Fragment, s: Fragment
                 arcs.append((ext[idx + k] - k, ext[idx] + k))
         if not arcs:
             return None
-        span = _cover_arc(arcs, nq)
-        if span is None:
-            lo, hi = 0, nq - 1
-        else:
-            lo, hi = span
-    best: tuple[int, int] | None = None
+        lo, hi = _cover_arc(arcs, nq) or (0, nq - 1)
+    sb = backend.bytes_of(s)
+    qb = backend.bytes_of(q) * ((hi + ns + k) // nq + 1)
+    best: tuple[int, int, int] | None = None
     for x in range(lo, hi + 1):
-        cost = _min_cost_power(backend, s, q, x, k)
-        if cost is not None and (best is None or cost < best[1]):
-            best = (x, cost)
-    if best is None:
-        return None
-    x, cost = best
-    gen = EditGenerator(backend, s, q, x % nq)
-    lam = qlam = 0
-    for _ in range(cost + 1):
-        lam, qlam = gen.next()
-    if lam != ns:
-        raise AssertionError("witness end search failed to cover the string")
-    return (x, x + qlam, cost)
+        probe = _min_cost_window(sb, qb, x, x + ns + k, k)
+        if probe is not None and (best is None or probe[0] < best[2]):
+            best = (x, x + probe[1], probe[0])
+    return best
 
 
 def _cover_arc(arcs: list[tuple[int, int]], nq: int) -> tuple[int, int] | None:
@@ -367,12 +344,10 @@ class LockedFragments:
     """Disjoint fragments (offset, length) of s covering all edit errors
     against powers of q; first is a prefix, last a suffix."""
     items: tuple[tuple[int, int], ...]
-    costs: tuple[int, ...] | None = None
 
 
 def locked(backend, s: Fragment, q: Fragment, d: int, k: int,
-           with_costs: bool = False, witness: tuple[int, int, int] | None = None
-           ) -> LockedFragments:
+           witness: tuple[int, int, int] | None = None) -> LockedFragments:
     """Compute locked fragments of s with respect to q.
 
     The optimal alignment from a witness is cut at period boundaries into
@@ -436,18 +411,7 @@ def locked(backend, s: Fragment, q: Fragment, d: int, k: int,
             else:
                 stack.append((l, r))
                 break
-    items = tuple((l, r - l) for l, r in stack)
-    costs = None
-    if with_costs:
-        vals = []
-        for off, ln in items:
-            if ln == 0:
-                vals.append(0)
-                continue
-            piece = find_a_witness(backend, d, q, extract(s, off, off + ln))
-            vals.append(piece[2] if piece is not None else d + 1)
-        costs = tuple(vals)
-    return LockedFragments(items, costs)
+    return LockedFragments(tuple((l, r - l) for l, r in stack))
 
 
 # -- periodic machinery --------------------------------------------------------

@@ -208,17 +208,6 @@ def lcp_infinite(backend, s: Fragment, q: Fragment) -> int:
     return nq + backend.lcp(extract(s, nq, len(s)), s)
 
 
-def lcp_r_infinite(backend, s: Fragment, q: Fragment) -> int:
-    """Longest common suffix of s and a left-infinite power ...qqq."""
-    nq = len(q)
-    if len(s) == 0:
-        return 0
-    a = backend.lcp_r(s, q)
-    if a < nq or a == len(s):
-        return a
-    return nq + backend.lcp_r(extract(s, 0, len(s) - nq), s)
-
-
 def lcp_power(backend, s: Fragment, q: Fragment, l: int, r: int) -> int:
     """lcp(s, q^inf[l:r)): one in-q probe, then the periodic extension, capped."""
     if len(q) == 0:
@@ -233,22 +222,6 @@ def lcp_power(backend, s: Fragment, q: Fragment, l: int, r: int) -> int:
         return min(a, cap)
     rest = lcp_infinite(backend, extract(s, a, len(s)), q)
     return min(a + rest, cap)
-
-
-def lcp_r_power(backend, s: Fragment, q: Fragment, l: int, r: int) -> int:
-    """Longest common suffix of s and q^inf[l:r): the mirror of lcp_power."""
-    if len(q) == 0:
-        raise ContractError("lcp_r_power needs a nonempty period string")
-    cap = min(r - l, len(s))
-    if cap <= 0:
-        return 0
-    nq = len(q)
-    off = r % nq
-    a = backend.lcp_r(s, extract(q, 0, off)) if off else 0
-    if a < off:
-        return min(a, cap)
-    rest = lcp_r_infinite(backend, extract(s, 0, len(s) - off), q)
-    return min(off + rest, cap)
 
 
 def ipm(backend, p: Fragment, t: Fragment) -> ArithmeticProgression:

@@ -3,12 +3,11 @@ fingerprint-based longest-common-extension queries.
 
 A grammar is a list of symbols, each either a single byte or a pair of
 earlier/later symbols, in Chomsky normal form after loading.  Expansion
-lengths, parse-tree depths, and rolling fingerprints of every symbol are
-precomputed bottom-up; a prefix fingerprint of the generated string is then
-one root-to-position descent, and lcp queries between arbitrary fragments
-(even of different grammars) are answered by doubling + binary search over
-fingerprint comparisons, with the final boundary character checked by
-direct access.
+lengths and rolling fingerprints of every symbol are precomputed bottom-up;
+a prefix fingerprint of the generated string is then one root-to-position
+descent, and lcp queries between arbitrary fragments (even of different
+grammars) are answered by doubling + binary search over fingerprint
+comparisons, with the final boundary character checked by direct access.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class _SymbolTables:
     right: list[int]
     byte: list[int]
     length: list[int]
-    depth: list[int]
     fp: list[tuple[int, int]]
     pw: list[tuple[int, int]]
 
@@ -89,7 +87,6 @@ class Slp:
         self.t = tables
         self.n_symbols = len(left)
         self.length = tables.length[start]
-        self.depth = tables.depth[start]
         self._rev: Slp | None = None
 
     # -- construction --------------------------------------------------------
@@ -127,14 +124,12 @@ class Slp:
     def _build_tables(left, right, byte, order, params) -> _SymbolTables:
         n = len(left)
         length = [0] * n
-        depth = [0] * n
         fp = [(0, 0)] * n
         pw = [(0, 0)] * n
         b1, b2 = params.bases
         for a in order:
             if left[a] < 0:
                 length[a] = 1
-                depth[a] = 1
                 fp[a] = (byte[a] % _FIELD, byte[a] % _FIELD)
                 pw[a] = (b1, b2)
             else:
@@ -142,12 +137,11 @@ class Slp:
                 length[a] = length[l] + length[r]
                 if length[a] > MAX_LEN:
                     raise _SymbolError("expansion length overflows 63 bits", a)
-                depth[a] = 1 + max(depth[l], depth[r])
                 f1 = (fp[l][0] * pw[r][0] + fp[r][0]) % _FIELD
                 f2 = (fp[l][1] * pw[r][1] + fp[r][1]) % _FIELD
                 fp[a] = (f1, f2)
                 pw[a] = (pw[l][0] * pw[r][0] % _FIELD, pw[l][1] * pw[r][1] % _FIELD)
-        return _SymbolTables(left, right, byte, length, depth, fp, pw)
+        return _SymbolTables(left, right, byte, length, fp, pw)
 
     # -- queries --------------------------------------------------------------
 
@@ -159,7 +153,6 @@ class Slp:
             rev.start = self.start
             rev.n_symbols = self.n_symbols
             rev.length = self.length
-            rev.depth = self.depth
             rev._rev = self
             order = self._toposort(t.right, t.left)  # same DAG, children swapped
             rev.t = self._build_tables(t.right, t.left, t.byte, order, self.params)

@@ -168,7 +168,3 @@ class TestQueries:
         assert be.lcp_r(Fragment(0, 0, 3), Fragment(0, 3, 6)) == 3  # "aab" vs "aab"
         prog = be.ipm(extract(h, 0, 3), extract(h, 0, 6))
         assert list(prog) == [0, 3]
-
-    def test_depth_cached(self):
-        g = parse_slp(FIG_GRAMMAR)
-        assert g.depth == 4  # a -> A3? chain: A5 over A4 over A3 over terminals

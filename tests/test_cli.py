@@ -152,6 +152,18 @@ def test_usage_error_exit_2(tmp_path):
     assert res.stdout == ""
 
 
+def test_literal_outside_latin1_exit_2():
+    # literals are encoded one byte per character; anything else is a usage error
+    for role in ("pattern", "text"):
+        lits = {"pattern": "ab", "text": "abc", role: "a\u20acb"}
+        res = run_pm("search", "--metric", "edit", "-k", "1",
+                     "--pattern-lit", lits["pattern"], "--text-lit", lits["text"])
+        assert res.returncode == 2
+        assert f"pm: --{role}-lit:" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
 def test_file_sources(tmp_path):
     pat = tmp_path / "p.bin"
     txt = tmp_path / "t.bin"

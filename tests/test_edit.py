@@ -237,13 +237,20 @@ class TestFindAWitness:
         assert find_a_witness(b, 1, b.handle(0), b.handle(3)) is None
 
     def test_cost_is_exact_edl(self):
+        # The first 200 instances have short periods; the rest have periods
+        # up to 12, k in 1..2 and at least 2k+2 copies of the period, so that
+        # rotations are voted for and narrowed by _cover_arc (nq > 3k+1),
+        # where a window may start in [nq, 2nq).
         rng = random.Random(56)
-        for _ in range(200):
-            nq = rng.randrange(1, 5)
+        voted = wrapped = 0
+        for trial in range(500):
+            wide = trial >= 200
+            nq = rng.randrange(5, 13) if wide else rng.randrange(1, 5)
             q = bytes(rng.randrange(2) + 97 for _ in range(nq))
             if not primitive(q):
                 continue
-            reps = rng.randrange(1, 10)
+            kw = rng.randrange(1, 3) if wide else 0
+            reps = rng.randrange(2 * kw + 2, 2 * kw + 6) if wide else rng.randrange(1, 10)
             s = bytearray(expand(q, reps * nq + rng.randrange(nq + 1)))
             for _ in range(rng.randrange(0, 4)):
                 if not s:
@@ -259,7 +266,8 @@ class TestFindAWitness:
             s = bytes(s)
             if not s:
                 continue
-            k = rng.randrange(0, 6)
+            k = kw if wide else rng.randrange(0, 6)
+            voted += nq > 3 * k + 1 and len(s) >= (2 * k + 1) * nq and k > 0
             b = be(s, q)
             w = find_a_witness(b, k, b.handle(1), b.handle(0))
             true = brute_edl(s, q)
@@ -267,29 +275,37 @@ class TestFindAWitness:
                 x, y, cost = w
                 assert cost == true
                 assert edit_distance(s, expand(q, y)[x:y]) == cost
+                wrapped += x >= nq
             else:
                 assert w is None
+        assert voted >= 50 and wrapped >= 10
+
+
+def piece_costs(b, s, q, d: int, lf) -> list[int]:
+    """Each locked piece's distance to q^inf (d + 1 when beyond d)."""
+    ws = [find_a_witness(b, d, q, extract(s, off, off + ln)) for off, ln in lf.items]
+    return [d + 1 if w is None else w[2] for w in ws]
 
 
 class TestLocked:
     def test_error_free(self):
         b = be(b"aaaa", b"a")
-        lf = locked(b, b.handle(0), b.handle(1), 1, 0, with_costs=True)
-        assert sum(lf.costs) == 0
+        lf = locked(b, b.handle(0), b.handle(1), 1, 0)
+        assert sum(piece_costs(b, b.handle(0), b.handle(1), 1, lf)) == 0
         assert lf.items[0][0] == 0
         off, ln = lf.items[-1]
         assert off + ln == 4
 
     def test_one_error(self):
         b = be(b"aabaa", b"a")
-        lf = locked(b, b.handle(0), b.handle(1), 1, 0, with_costs=True)
-        assert sum(lf.costs) == 1
+        lf = locked(b, b.handle(0), b.handle(1), 1, 0)
+        assert sum(piece_costs(b, b.handle(0), b.handle(1), 1, lf)) == 1
         assert sum(ln for _, ln in lf.items) <= 8
 
     def test_periodic_two(self):
         b = be(b"ababab", b"ab")
-        lf = locked(b, b.handle(0), b.handle(1), 1, 0, with_costs=True)
-        assert sum(lf.costs) == 0
+        lf = locked(b, b.handle(0), b.handle(1), 1, 0)
+        assert sum(piece_costs(b, b.handle(0), b.handle(1), 1, lf)) == 0
 
     def test_invariants(self):
         rng = random.Random(57)
@@ -316,15 +332,16 @@ class TestLocked:
                 continue
             k = rng.randrange(0, 3)
             b = be(s, q)
-            lf = locked(b, b.handle(0), b.handle(1), d, k, with_costs=True)
+            lf = locked(b, b.handle(0), b.handle(1), d, k)
+            costs = piece_costs(b, b.handle(0), b.handle(1), d, lf)
             end = 0
             for off, ln in lf.items:
                 assert off >= end
                 end = off + ln
             assert lf.items[0][0] == 0
             assert lf.items[-1][0] + lf.items[-1][1] == len(s)
-            assert sum(lf.costs) == true
-            for c in lf.costs[1:-1]:
+            assert sum(costs) == true
+            for c in costs[1:-1]:
                 assert c > 0
             assert sum(ln for _, ln in lf.items) <= (5 * nq + 1) * true + 2 * (k + 1) * nq
 

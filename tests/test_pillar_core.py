@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pillarmatch import (ArithmeticProgression, ContractError, OccurrenceSet, access,
-                         equal, exact_matches, extract, ipm, lcp_power, lcp_r_power,
-                         period, rotations)
+                         equal, exact_matches, extract, ipm, lcp_power, period,
+                         rotations)
 from pillarmatch.standard import StandardBackend
 
 
@@ -252,23 +252,6 @@ class TestLcpPower:
             while want < min(len(s), len(window)) and s[want] == window[want]:
                 want += 1
             assert lcp_power(b, hs, b.handle(1), l, r) == want
-
-    def test_reverse_against_expansion(self):
-        rng = random.Random(12)
-        for _ in range(500):
-            ns = rng.randrange(0, 20)
-            nq = rng.randrange(1, 5)
-            s = bytes(rng.randrange(2) + 97 for _ in range(ns))
-            q = bytes(rng.randrange(2) + 97 for _ in range(nq))
-            r = rng.randrange(0, 40)
-            l = rng.randrange(0, r + 1)
-            b = be(s + b"#", q)
-            hs = extract(b.handle(0), 0, ns)
-            window = (q * ((r // nq) + 2))[l:r]
-            want = 0
-            while want < min(len(s), len(window)) and s[ns - 1 - want] == window[len(window) - 1 - want]:
-                want += 1
-            assert lcp_r_power(b, hs, b.handle(1), l, r) == want
 
 
 class TestExactMatches:
