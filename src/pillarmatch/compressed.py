@@ -2,11 +2,13 @@
 SLP-generated pattern inside an SLP-generated text without decompressing the
 text.
 
-Every binary rule A -> BC is examined once through a short window around
-the B/C boundary; occurrences first witnessed inside that window (and not
-already witnessed inside B alone) are charged to A.  A dynamic program over
-the rule DAG then turns per-symbol crossing counts into the total, and a
-count-pruned parse-tree walk reports positions.
+Occurrences that cross the B/C boundary of a binary rule A -> BC, and are
+not already witnessed inside B alone, are charged to A.  They lie in a short
+window around the boundary, and many rules share one window, so each
+distinct window is extracted and matched once per query; the rules sharing
+it shift its starts.  A dynamic program over the rule DAG then turns
+per-symbol crossing counts into the total, and a count-pruned parse-tree
+walk reports positions.
 """
 
 from __future__ import annotations
@@ -65,18 +67,11 @@ def _terminal_count(byte: int, pattern: bytes, k: int, metric: str) -> int:
     return 1 if m - slack <= k else 0
 
 
-def _crossing_positions(g_t: Slp, sym: int, bundle: PatternBundle, k: int,
-                        metric: str) -> list[int]:
-    """Occurrence starts charged to rule sym (A -> BC), local to gen(A)."""
-    t = g_t.t
-    left, right = t.left[sym], t.right[sym]
-    m = len(bundle.data)
-    pad = k if metric == EDIT else 0
-    beta = t.length[left]
-    bl = min(beta, m - 1 + pad)
-    cl = min(t.length[right], m - 1 + pad)
-    if bl == 0:
-        return []
+def _window_starts(g_t: Slp, sym: int, bl: int, cl: int, bundle: PatternBundle,
+                   k: int, metric: str) -> list[int]:
+    """Starts charged to rule sym (A -> BC), local to its window: the last bl
+    bytes of gen(B) followed by the first cl bytes of gen(C)."""
+    beta = g_t.t.length[g_t.t.left[sym]]
     window = g_t.extract(beta - bl, beta + cl, root=sym)
     backend = StandardBackend([bundle.data, window])
     p = backend.handle(0)
@@ -88,22 +83,55 @@ def _crossing_positions(g_t: Slp, sym: int, bundle: PatternBundle, k: int,
         inside = match(backend, p, extract(w, 0, bl), k, analysis)
         drop = {pos for pos in inside.positions() if pos < bl}
         starts = [pos for pos in starts if pos not in drop]
-    base = beta - bl
-    return [base + pos for pos in starts]
+    return starts
 
 
 def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int,
-                metric: str) -> tuple[dict[int, int], dict[int, list[int]]]:
+                metric: str) -> tuple[list[int], dict[int, list[int]]]:
+    """Per-symbol occurrence counts, and each rule's crossing starts local to
+    gen(A), children before parents.
+
+    With reach = m - 1 + pad, the window of A -> BC is the last
+    min(|B|, reach) bytes of gen(B) and the first min(|C|, reach) bytes of
+    gen(C).  suf[X] is the first symbol down X's right spine that is a
+    terminal or has a right child shorter than reach, so gen(suf[X]) ends with
+    the same min(|X|, reach) bytes as gen(X); pre[X] likewise down the left
+    spine.  The pair (suf[B], pre[C]) therefore fixes the window: each
+    distinct pair is matched once per query, and every other rule sharing it
+    only shifts the stored starts.
+    """
     t = g_t.t
-    crossing = {sym: _crossing_positions(g_t, sym, bundle, k, metric)
-                for sym in range(g_t.n_symbols) if t.left[sym] >= 0}
-    counts: dict[int, int] = {}
-    order = Slp._toposort(t.left, t.right)
-    for sym in order:
-        if t.left[sym] < 0:
+    length = t.length
+    m = len(bundle.data)
+    pad = k if metric == EDIT else 0
+    reach = m - 1 + pad
+    suf = list(range(g_t.n_symbols))
+    pre = list(range(g_t.n_symbols))
+    memo: dict[tuple[int, int], list[int]] = {}
+    counts = [0] * g_t.n_symbols
+    crossing: dict[int, list[int]] = {}
+    for sym in g_t.order:
+        left, right = t.left[sym], t.right[sym]
+        if left < 0:
             counts[sym] = _terminal_count(t.byte[sym], bundle.data, k, metric)
+            continue
+        if length[right] >= reach:
+            suf[sym] = suf[right]
+        if length[left] >= reach:
+            pre[sym] = pre[left]
+        bl = min(length[left], reach)
+        cl = min(length[right], reach)
+        if bl + cl < m - pad:  # no occurrence fits; covers bl == 0 (reach == 0)
+            starts: list[int] = []
         else:
-            counts[sym] = counts[t.left[sym]] + counts[t.right[sym]] + len(crossing[sym])
+            key = (suf[left], pre[right])
+            local = memo.get(key)
+            if local is None:
+                local = memo[key] = _window_starts(g_t, sym, bl, cl, bundle, k, metric)
+            shift = length[left] - bl
+            starts = [shift + pos for pos in local] if shift and local else local
+        crossing[sym] = starts
+        counts[sym] = counts[left] + counts[right] + len(starts)
     return counts, crossing
 
 

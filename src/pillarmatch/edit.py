@@ -302,10 +302,14 @@ def find_a_witness(backend, k: int, q: Fragment, s: Fragment
     sb = backend.bytes_of(s)
     qb = backend.bytes_of(q) * ((hi + ns + k) // nq + 1)
     best: tuple[int, int, int] | None = None
+    bound = k
     for x in range(lo, hi + 1):
-        probe = _min_cost_window(sb, qb, x, x + ns + k, k)
-        if probe is not None and (best is None or probe[0] < best[2]):
+        probe = _min_cost_window(sb, qb, x, x + ns + k, bound)
+        if probe is not None:
             best = (x, x + probe[1], probe[0])
+            if probe[0] == 0:
+                break
+            bound = probe[0] - 1  # only a strictly cheaper x can replace it
     return best
 
 

@@ -82,8 +82,8 @@ class Slp:
                  params: _FingerprintParams | None = None):
         self.params = params or fingerprint_params()
         self.start = start
-        order = self._toposort(left, right)
-        tables = self._build_tables(left, right, byte, order, self.params)
+        self.order = self._toposort(left, right)  # children before parents
+        tables = self._build_tables(left, right, byte, self.order, self.params)
         self.t = tables
         self.n_symbols = len(left)
         self.length = tables.length[start]
@@ -154,8 +154,8 @@ class Slp:
             rev.n_symbols = self.n_symbols
             rev.length = self.length
             rev._rev = self
-            order = self._toposort(t.right, t.left)  # same DAG, children swapped
-            rev.t = self._build_tables(t.right, t.left, t.byte, order, self.params)
+            rev.order = self.order  # same DAG, children swapped
+            rev.t = self._build_tables(t.right, t.left, t.byte, self.order, self.params)
             self._rev = rev
         return self._rev
 

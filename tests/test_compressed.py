@@ -167,3 +167,148 @@ class TestMetaAlgorithmsOverSlpBackend:
             k = rng.randrange(0, min(plen, 4) + 1)
             occ = edit_occurrences(backend, backend.handle(1), backend.handle(0), k)
             assert set(occ.positions()) == brute_ed_occurrences(pat, text, k)
+
+
+class _Builder:
+    """Appends symbols to one grammar; each call returns the new symbol."""
+
+    def __init__(self):
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.byte: list[int] = []
+
+    def term(self, c: int) -> int:
+        self.left.append(-1)
+        self.right.append(-1)
+        self.byte.append(c)
+        return len(self.left) - 1
+
+    def pair(self, a: int, b: int) -> int:
+        self.left.append(a)
+        self.right.append(b)
+        self.byte.append(-1)
+        return len(self.left) - 1
+
+    def word(self, data: bytes) -> int:
+        """A fresh left comb for data, so equal words get distinct symbols."""
+        sym = self.term(data[0])
+        for c in data[1:]:
+            sym = self.pair(sym, self.term(c))
+        return sym
+
+    def balanced(self, syms: list[int]) -> int:
+        while len(syms) > 1:
+            nxt = [self.pair(a, b) for a, b in zip(syms[::2], syms[1::2])]
+            syms = nxt + syms[len(nxt) * 2:]
+        return syms[0]
+
+    def slp(self, start: int) -> Slp:
+        return Slp(self.left, self.right, self.byte, start)
+
+
+def power_slp(base: bytes, e: int) -> Slp:
+    """base^(2^e) by repeated squaring: every rule's window is one of a few."""
+    b = _Builder()
+    sym = b.word(base)
+    for _ in range(e):
+        sym = b.pair(sym, sym)
+    return b.slp(sym)
+
+
+def fibonacci_slp(n: int) -> Slp:
+    """F_1 = b, F_2 = a, F_i = F_{i-1} F_{i-2}."""
+    b = _Builder()
+    prev, cur = b.term(98), b.term(97)
+    for _ in range(n - 2):
+        prev, cur = cur, b.pair(cur, prev)
+    return b.slp(cur)
+
+
+def block_slp(rng: random.Random, right_comb: bool) -> Slp:
+    """A run of blocks picked from three short bases.  One base is also built
+    a second time with fresh symbols, so different symbols generate equal
+    windows.  A right comb puts one short block as the left child of every
+    rule on its spine, shorter than reach for all but the shortest patterns."""
+    b = _Builder()
+    bases = [bytes(rng.choice(b"abc") for _ in range(rng.randrange(3, 13))) for _ in range(3)]
+    blocks = [b.word(w) for w in bases] + [b.word(bases[0])]
+    seq = [rng.choice(blocks) for _ in range(rng.randrange(20, 50))]
+    if not right_comb:
+        return b.slp(b.balanced(seq))
+    sym = seq[-1]
+    for blk in reversed(seq[:-1]):
+        sym = b.pair(blk, sym)
+    return b.slp(sym)
+
+
+def _near_copy(rng: random.Random, text: bytes, m: int, k: int) -> bytes:
+    """A length-m substring of text with up to k random substitutions."""
+    off = rng.randrange(len(text) - m + 1)
+    pat = bytearray(text[off:off + m])
+    for _ in range(rng.randrange(k + 1)):
+        pat[rng.randrange(m)] = rng.choice(b"abc")
+    return bytes(pat)
+
+
+class TestRepeatedWindows:
+    """Rules that share a window reuse its match; results must not change."""
+
+    @staticmethod
+    def _check(g_t: Slp, rng: random.Random, ms) -> None:
+        text = g_t.extract(0, g_t.length)
+        for m in ms:
+            for k in range(min(m, 3) + 1):  # m <= 3 includes edit with m == k
+                pat = _near_copy(rng, text, m, k)
+                g_p = left_comb_slp(pat, g_t.params)
+                for metric, oracle in ((HAMMING, brute_hd_occurrences),
+                                       (EDIT, brute_ed_occurrences)):
+                    want = oracle(pat, text, k)
+                    assert count_occurrences_compressed(g_t, g_p, k, metric) == len(want), \
+                        (metric, pat, k)
+                    rep = report_occurrences_compressed(g_t, g_p, k, metric)
+                    assert set(rep.positions()) == want, (metric, pat, k)
+
+    def test_powers(self):
+        rng = random.Random(91)
+        self._check(power_slp(b"a", 9), rng, range(1, 41))
+        self._check(power_slp(b"aab", 7), rng, range(1, 41, 3))
+
+    def test_fibonacci_words(self):
+        self._check(fibonacci_slp(14), random.Random(92), range(1, 41))
+
+    def test_block_repeats(self):
+        rng = random.Random(93)
+        for right_comb in (False, True):
+            self._check(block_slp(rng, right_comb), rng, range(1, 41, 2))
+
+
+class TestWindowMemo:
+    """Each distinct rule window is matched once per query, so the matcher
+    calls do not grow with the text's length when windows repeat."""
+
+    @pytest.mark.parametrize("metric", [HAMMING, EDIT])
+    def test_calls_independent_of_exponent(self, monkeypatch, metric):
+        import pillarmatch.compressed as compressed
+
+        real = compressed._matcher
+        calls: list[int] = []
+
+        def counting(name):
+            fn = real(name)
+
+            def wrapped(*args):
+                calls[-1] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(compressed, "_matcher", counting)
+        totals = []
+        for e in (20, 60):
+            calls.append(0)
+            g_t = power_slp(b"a", e)
+            g_p = left_comb_slp(b"a" * 16, g_t.params)
+            totals.append(count_occurrences_compressed(g_t, g_p, 1, metric))
+        # a^16 at k=1: Hamming needs 16 text bytes, edit 15 or more
+        spare = 15 if metric == HAMMING else 14
+        assert totals == [2 ** 20 - spare, 2 ** 60 - spare]
+        assert 0 < calls[0] == calls[1]
