@@ -16,7 +16,7 @@ from .compressed import EDIT, HAMMING, count_occurrences_compressed, \
 from .edit import analyze_ed, edit_occurrences
 from .hamming import ApproxPeriod, Breaks, RepetitiveRegions, analyze_hd, mismatch_occurrences
 from .pillar import ContractError, OccurrenceSet
-from .slp import SlpFormatError, left_comb_slp, parse_slp, set_fingerprint_seed
+from .slp import SlpFormatError, left_comb_slp, parse_slp
 from .standard import StandardBackend
 
 EXIT_ORACLE = 1
@@ -82,8 +82,6 @@ def _print_occurrences(occ: OccurrenceSet, args) -> None:
 
 
 def _run_search(args) -> int:
-    if args.seed is not None:
-        set_fingerprint_seed(args.seed)
     pkind, pval = _load_source(args, "pattern")
     tkind, tval = _load_source(args, "text")
     plen = len(pval) if pkind == "plain" else pval.length
@@ -128,8 +126,6 @@ def _run_search(args) -> int:
 
 
 def _run_analyze(args) -> int:
-    if args.seed is not None:
-        set_fingerprint_seed(args.seed)
     pkind, pval = _load_source(args, "pattern")
     data = pval if pkind == "plain" else pval.extract(0, pval.length)
     m = len(data)
@@ -172,14 +168,11 @@ def main(argv: list[str] | None = None) -> int:
     mode.add_argument("--json", action="store_true", help="print one JSON object")
     search.add_argument("--oracle", action="store_true",
                         help="cross-check against the brute-force reference")
-    search.add_argument("--seed", type=int, default=None,
-                        help="fingerprint seed (overrides PM_SEED)")
 
     analyze = subs.add_parser("analyze", help="report the pattern's structure")
     analyze.add_argument("--metric", choices=[HAMMING, EDIT], required=True)
     analyze.add_argument("-k", type=int, required=True)
     _add_source_flags(analyze, "pattern")
-    analyze.add_argument("--seed", type=int, default=None)
 
     args = parser.parse_args(argv)
     try:

@@ -2,53 +2,26 @@
 SLP-generated pattern inside an SLP-generated text without decompressing the
 text.
 
-Occurrences that cross the B/C boundary of a binary rule A -> BC, and are
-not already witnessed inside B alone, are charged to A.  They lie in a short
-window around the boundary, and many rules share one window, so each
-distinct window is extracted and matched once per query; the rules sharing
-it shift its starts.  A dynamic program over the rule DAG then turns
-per-symbol crossing counts into the total, and a count-pruned parse-tree
-walk reports positions.
+The pattern is decompressed and analyzed once per query.  Occurrences that
+cross the B/C boundary of a binary rule A -> BC, and are not already
+witnessed inside B alone, are charged to A.  They lie in a short window
+around the boundary, and many rules share one window, so each distinct
+window is extracted and matched once per query; the rules sharing it shift
+its starts.  A dynamic program over the rule DAG then turns per-symbol
+crossing counts into the total, and a count-pruned parse-tree walk reports
+positions.
 """
 
 from __future__ import annotations
 
-from .edit import edit_occurrences
-from .hamming import mismatch_occurrences
+from .edit import analyze_ed, edit_occurrences
+from .hamming import analyze_hd, mismatch_occurrences
 from .pillar import ContractError, OccurrenceSet, extract
 from .slp import Slp
 from .standard import StandardBackend
 
 HAMMING = "hamming"
 EDIT = "edit"
-
-
-class PatternBundle:
-    """Decompressed pattern plus cached structural analyses."""
-
-    def __init__(self, g_p: Slp):
-        self.grammar = g_p
-        self.data = g_p.extract(0, g_p.length)
-        self._analyses: dict[tuple[str, int], object] = {}
-
-    def analysis(self, metric: str, k: int):
-        key = (metric, k)
-        if key not in self._analyses:
-            if k == 0 or 8 * k > len(self.data):
-                self._analyses[key] = None
-            else:
-                from .edit import analyze_ed
-                from .hamming import analyze_hd
-                backend = StandardBackend([self.data])
-                fn = analyze_hd if metric == HAMMING else analyze_ed
-                self._analyses[key] = fn(backend, backend.handle(0), k)
-        return self._analyses[key]
-
-
-def build_pattern_once(g_p: Slp) -> PatternBundle:
-    if g_p.length < 1:
-        raise ContractError("pattern grammar generates the empty string")
-    return PatternBundle(g_p)
 
 
 def _matcher(metric: str):
@@ -67,17 +40,16 @@ def _terminal_count(byte: int, pattern: bytes, k: int, metric: str) -> int:
     return 1 if m - slack <= k else 0
 
 
-def _window_starts(g_t: Slp, sym: int, bl: int, cl: int, bundle: PatternBundle,
-                   k: int, metric: str) -> list[int]:
+def _window_starts(g_t: Slp, sym: int, bl: int, cl: int, pattern: bytes, k: int,
+                   metric: str, analysis) -> list[int]:
     """Starts charged to rule sym (A -> BC), local to its window: the last bl
     bytes of gen(B) followed by the first cl bytes of gen(C)."""
     beta = g_t.t.length[g_t.t.left[sym]]
     window = g_t.extract(beta - bl, beta + cl, root=sym)
-    backend = StandardBackend([bundle.data, window])
+    backend = StandardBackend([pattern, window])
     p = backend.handle(0)
     w = backend.handle(1)
     match = _matcher(metric)
-    analysis = bundle.analysis(metric, k)
     starts = [pos for pos in match(backend, p, w, k, analysis).positions() if pos < bl]
     if metric == EDIT and starts:
         inside = match(backend, p, extract(w, 0, bl), k, analysis)
@@ -86,7 +58,7 @@ def _window_starts(g_t: Slp, sym: int, bl: int, cl: int, bundle: PatternBundle,
     return starts
 
 
-def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int,
+def _per_symbol(g_t: Slp, g_p: Slp, k: int,
                 metric: str) -> tuple[list[int], dict[int, list[int]]]:
     """Per-symbol occurrence counts, and each rule's crossing starts local to
     gen(A), children before parents.
@@ -100,9 +72,17 @@ def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int,
     distinct pair is matched once per query, and every other rule sharing it
     only shifts the stored starts.
     """
+    pattern = g_p.extract(0, g_p.length)
+    m = len(pattern)
+    if not 0 <= k <= m:
+        raise ContractError("threshold must satisfy 0 <= k <= |pattern|")
+    analysis = None
+    if k and 8 * k <= m:  # else the matchers route around the analysis
+        backend = StandardBackend([pattern])
+        analyze = analyze_hd if metric == HAMMING else analyze_ed
+        analysis = analyze(backend, backend.handle(0), k)
     t = g_t.t
     length = t.length
-    m = len(bundle.data)
     pad = k if metric == EDIT else 0
     reach = m - 1 + pad
     suf = list(range(g_t.n_symbols))
@@ -113,7 +93,7 @@ def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int,
     for sym in g_t.order:
         left, right = t.left[sym], t.right[sym]
         if left < 0:
-            counts[sym] = _terminal_count(t.byte[sym], bundle.data, k, metric)
+            counts[sym] = _terminal_count(t.byte[sym], pattern, k, metric)
             continue
         if length[right] >= reach:
             suf[sym] = suf[right]
@@ -127,7 +107,8 @@ def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int,
             key = (suf[left], pre[right])
             local = memo.get(key)
             if local is None:
-                local = memo[key] = _window_starts(g_t, sym, bl, cl, bundle, k, metric)
+                local = memo[key] = _window_starts(g_t, sym, bl, cl, pattern, k, metric,
+                                                    analysis)
             shift = length[left] - bl
             starts = [shift + pos for pos in local] if shift and local else local
         crossing[sym] = starts
@@ -137,22 +118,16 @@ def _per_symbol(g_t: Slp, bundle: PatternBundle, k: int,
 
 def count_occurrences_compressed(g_t: Slp, g_p: Slp, k: int, metric: str) -> int:
     """|Occ_k| of gen(g_p) in gen(g_t) for the chosen metric."""
-    bundle = build_pattern_once(g_p)
-    if not 0 <= k <= len(bundle.data):
-        raise ContractError("threshold must satisfy 0 <= k <= |pattern|")
-    counts, _ = _per_symbol(g_t, bundle, k, metric)
+    counts, _ = _per_symbol(g_t, g_p, k, metric)
     total = counts[g_t.start]
-    if metric == EDIT and len(bundle.data) <= k:
+    if metric == EDIT and g_p.length <= k:
         total += 1  # the empty suffix at position |text|
     return total
 
 
 def report_occurrences_compressed(g_t: Slp, g_p: Slp, k: int, metric: str) -> OccurrenceSet:
     """Absolute occurrence positions in gen(g_t), skipping barren subtrees."""
-    bundle = build_pattern_once(g_p)
-    if not 0 <= k <= len(bundle.data):
-        raise ContractError("threshold must satisfy 0 <= k <= |pattern|")
-    counts, crossing = _per_symbol(g_t, bundle, k, metric)
+    counts, crossing = _per_symbol(g_t, g_p, k, metric)
     t = g_t.t
     positions: list[int] = []
     stack = [(g_t.start, 0)]
@@ -168,6 +143,6 @@ def report_occurrences_compressed(g_t: Slp, g_p: Slp, k: int, metric: str) -> Oc
         l = t.left[sym]
         stack.append((t.right[sym], off + t.length[l]))
         stack.append((l, off))
-    if metric == EDIT and len(bundle.data) <= k:
+    if metric == EDIT and g_p.length <= k:
         positions.append(g_t.length)
     return OccurrenceSet.from_positions(positions)

@@ -174,7 +174,7 @@ def mark_breaks(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int,
                 pad: int, verify) -> OccurrenceSet:
     """Marking by 2k aperiodic breaks: one vote per exactly matching break,
     at least k votes to verify."""
-    anchors = ((exact_matches(backend, extract(p, off, off + ln), t).positions(), off, 1)
+    anchors = ((exact_matches(backend, extract(p, off, off + ln), t), off, 1)
                for off, ln in analysis.items)
     return _vote_and_verify(backend, p, t, k, pad, anchors, k, verify)
 
@@ -207,7 +207,7 @@ def occurrences(backend, p: Fragment, t: Fragment, k: int, analysis: PatternAnal
     if n < m - pad:
         return OccurrenceSet.empty()
     if k == 0:
-        return exact_matches(backend, p, t)
+        return OccurrenceSet.from_positions(exact_matches(backend, p, t))
     if BREAK_DIV * k > m:
         return dense(backend, p, t, k)
     if analysis is None:

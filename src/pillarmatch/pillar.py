@@ -140,9 +140,6 @@ class OccurrenceSet:
             out.extend(p)
         return out
 
-    def union(self, other: "OccurrenceSet") -> "OccurrenceSet":
-        return OccurrenceSet.from_progressions(self.progressions + other.progressions)
-
     def __len__(self) -> int:
         return sum(p.count for p in self.progressions)
 
@@ -224,15 +221,6 @@ def lcp_power(backend, s: Fragment, q: Fragment, l: int, r: int) -> int:
     return min(a + rest, cap)
 
 
-def ipm(backend, p: Fragment, t: Fragment) -> ArithmeticProgression:
-    """Exact occurrences of p in t for |t| <= 2|p|, as one progression."""
-    if len(p) < 1:
-        raise ContractError("ipm pattern must be nonempty")
-    if len(t) > 2 * len(p):
-        raise ContractError("ipm window longer than twice the pattern")
-    return backend.ipm(p, t)
-
-
 def period(backend, s: Fragment) -> int | None:
     """Smallest period of s if it is at most |s|/2, else None.
 
@@ -262,15 +250,20 @@ def rotations(backend, s: Fragment, t: Fragment) -> ArithmeticProgression:
         raise ContractError("rotations arguments must have equal length")
     if n == 0:
         return EMPTY_PROGRESSION
-    ss = backend.bytes_of(s) * 2
-    tt = backend.bytes_of(t)
-    js = [0] if ss[:n] == tt else []
-    pos = ss.find(tt, 1)
-    while 0 < pos < n:
-        js.append(n - pos)
-        pos = ss.find(tt, pos + 1)
-    js.sort()
+    sb = backend.bytes_of(s)
+    # t occurs at offset n - j of s·s exactly when t is s rotated right by j
+    js = sorted((n - pos) % n for pos in _find_all(backend.bytes_of(t), sb + sb[:-1]))
     return _progression_from_sorted(js)
+
+
+def _find_all(pat: bytes, txt: bytes) -> list[int]:
+    """Every start of pat in txt, ascending, by a C-level substring scan."""
+    out = []
+    pos = txt.find(pat)
+    while pos != -1:
+        out.append(pos)
+        pos = txt.find(pat, pos + 1)
+    return out
 
 
 def _progression_from_sorted(hits: list[int]) -> ArithmeticProgression:
@@ -285,26 +278,22 @@ def _progression_from_sorted(hits: list[int]) -> ArithmeticProgression:
     return ArithmeticProgression(hits[0], d, len(hits))
 
 
-def exact_matches(backend, p: Fragment, t: Fragment) -> OccurrenceSet:
-    """All exact occurrences of p in t (any lengths), canonical set."""
+def exact_matches(backend, p: Fragment, t: Fragment) -> list[int]:
+    """Every start of an exact occurrence of p in t (any lengths), ascending."""
     if len(p) < 1:
         raise ContractError("exact_matches pattern must be nonempty")
     n, m = len(t), len(p)
     if n < m:
-        return OccurrenceSet.empty()
+        return []
     scan = getattr(backend, "scan_exact", None)
     if scan is not None:
-        return OccurrenceSet.from_positions(scan(p, t))
-    # Generic route: overlapping ipm windows t[i*m : min(n, (i+2)m-1)).
-    hits: set[int] = set()
-    for i in range(n // m):
-        lo = i * m
-        hi = min(n, (i + 2) * m - 1)
-        if hi - lo < m:
-            continue
-        for h in backend.ipm(p, extract(t, lo, hi)):
-            hits.add(lo + h)
-    return OccurrenceSet.from_positions(hits)
+        return scan(p, t)
+    # Generic route: the ipm window t[lo : min(n, lo+2m-1)) holds exactly the
+    # starts in [lo, lo+m), so the windows' hits come out ascending and distinct.
+    hits: list[int] = []
+    for lo in range(0, n - m + 1, m):
+        hits.extend(lo + h for h in backend.ipm(p, extract(t, lo, min(n, lo + 2 * m - 1))))
+    return hits
 
 
 def access(backend, s: Fragment, i: int) -> int:

@@ -1,27 +1,29 @@
-"""Straight-line programs: parsing, random access, extraction, and
-fingerprint-based longest-common-extension queries.
+"""Straight-line programs: parsing, random access and extraction, and the
+fragment-interface backend over them.
 
 A grammar is a list of symbols, each either a single byte or a pair of
-earlier/later symbols, in Chomsky normal form after loading.  Expansion
-lengths and rolling fingerprints of every symbol are precomputed bottom-up;
-a prefix fingerprint of the generated string is then one root-to-position
-descent, and lcp queries between arbitrary fragments (even of different
-grammars) are answered by doubling + binary search over fingerprint
-comparisons, with the final boundary character checked by direct access.
+earlier/later symbols, in Chomsky normal form after loading; expansion
+lengths are precomputed bottom-up.  `SlpBackend` adds Karp-Rabin
+fingerprints of every symbol of its grammars and of their reverses: a prefix
+fingerprint of a generated string is then one root-to-position descent, and
+lcp queries between arbitrary fragments (even of different grammars) are
+answered by doubling + binary search over fingerprint comparisons, with the
+final boundary character checked by direct access.
 """
 
 from __future__ import annotations
 
-import os
-import random
+import copy
 from dataclasses import dataclass
 
-from .pillar import ArithmeticProgression, ContractError, EMPTY_PROGRESSION, Fragment, \
+from .pillar import ArithmeticProgression, ContractError, Fragment, _find_all, \
     _progression_from_sorted
 
 MAX_LEN = (1 << 63) - 1
 _FIELD = (1 << 61) - 1
-_DEFAULT_SEED = 0x5EED_C0DE
+# Default pair of fingerprint bases in [256, _FIELD - 1); the grammars of one
+# backend must share their bases.
+FINGERPRINT_BASES = (238539297488483607, 204575138912540379)
 
 
 class SlpFormatError(ValueError):
@@ -40,30 +42,6 @@ class _SymbolError(ContractError):
         self.symbol = symbol
 
 
-class _FingerprintParams:
-    def __init__(self, seed: int):
-        rng = random.Random(seed)
-        self.seed = seed
-        self.bases = (rng.randrange(256, _FIELD - 1), rng.randrange(256, _FIELD - 1))
-
-
-_params: _FingerprintParams | None = None
-
-
-def fingerprint_params() -> _FingerprintParams:
-    global _params
-    if _params is None:
-        env = os.environ.get("PM_SEED")
-        _params = _FingerprintParams(int(env) if env else _DEFAULT_SEED)
-    return _params
-
-
-def set_fingerprint_seed(seed: int) -> None:
-    """Fix the fingerprint bases; affects grammars built afterwards."""
-    global _params
-    _params = _FingerprintParams(seed)
-
-
 @dataclass
 class _SymbolTables:
     # per symbol, index 0-based; terminals have left == -1 and byte >= 0
@@ -71,22 +49,20 @@ class _SymbolTables:
     right: list[int]
     byte: list[int]
     length: list[int]
-    fp: list[tuple[int, int]]
-    pw: list[tuple[int, int]]
 
 
 class Slp:
-    """A straight-line program plus cached per-symbol tables."""
+    """A straight-line program plus cached per-symbol tables.  `params` are
+    the fingerprint bases an `SlpBackend` over the grammar uses."""
 
     def __init__(self, left: list[int], right: list[int], byte: list[int], start: int,
-                 params: _FingerprintParams | None = None):
-        self.params = params or fingerprint_params()
+                 params: tuple[int, int] = FINGERPRINT_BASES):
+        self.params = params
         self.start = start
         self.order = self._toposort(left, right)  # children before parents
-        tables = self._build_tables(left, right, byte, self.order, self.params)
-        self.t = tables
+        self.t = _SymbolTables(left, right, byte, self._lengths(left, right, self.order))
         self.n_symbols = len(left)
-        self.length = tables.length[start]
+        self.length = self.t.length[start]
         self._rev: Slp | None = None
 
     # -- construction --------------------------------------------------------
@@ -121,41 +97,26 @@ class Slp:
         return order_rev  # children before parents
 
     @staticmethod
-    def _build_tables(left, right, byte, order, params) -> _SymbolTables:
-        n = len(left)
-        length = [0] * n
-        fp = [(0, 0)] * n
-        pw = [(0, 0)] * n
-        b1, b2 = params.bases
+    def _lengths(left: list[int], right: list[int], order: list[int]) -> list[int]:
+        length = [0] * len(left)
         for a in order:
             if left[a] < 0:
                 length[a] = 1
-                fp[a] = (byte[a] % _FIELD, byte[a] % _FIELD)
-                pw[a] = (b1, b2)
             else:
-                l, r = left[a], right[a]
-                length[a] = length[l] + length[r]
+                length[a] = length[left[a]] + length[right[a]]
                 if length[a] > MAX_LEN:
                     raise _SymbolError("expansion length overflows 63 bits", a)
-                f1 = (fp[l][0] * pw[r][0] + fp[r][0]) % _FIELD
-                f2 = (fp[l][1] * pw[r][1] + fp[r][1]) % _FIELD
-                fp[a] = (f1, f2)
-                pw[a] = (pw[l][0] * pw[r][0] % _FIELD, pw[l][1] * pw[r][1] % _FIELD)
-        return _SymbolTables(left, right, byte, length, fp, pw)
+        return length
 
     # -- queries --------------------------------------------------------------
 
     def reversed(self) -> "Slp":
+        """The grammar of the reversed string: every rule's children swapped."""
         if self._rev is None:
             t = self.t
-            rev = Slp.__new__(Slp)
-            rev.params = self.params
-            rev.start = self.start
-            rev.n_symbols = self.n_symbols
-            rev.length = self.length
+            rev = copy.copy(self)
+            rev.t = _SymbolTables(t.right, t.left, t.byte, t.length)
             rev._rev = self
-            rev.order = self.order  # same DAG, children swapped
-            rev.t = self._build_tables(t.right, t.left, t.byte, self.order, self.params)
             self._rev = rev
         return self._rev
 
@@ -195,76 +156,6 @@ class Slp:
             stack.append((lsym, off))
         return bytes(out)
 
-    def prefix_fingerprint(self, x: int) -> tuple[int, int]:
-        """Fingerprint of gen(G)[0:x), one descent combining left siblings."""
-        t = self.t
-        b1, b2 = self.params.bases
-        h1 = h2 = 0
-        a = self.start
-        while x > 0 and t.left[a] >= 0:
-            l = t.left[a]
-            if x >= t.length[l]:
-                h1 = (h1 * t.pw[l][0] + t.fp[l][0]) % _FIELD
-                h2 = (h2 * t.pw[l][1] + t.fp[l][1]) % _FIELD
-                x -= t.length[l]
-                a = t.right[a]
-            else:
-                a = l
-        if x > 0:  # terminal, x == 1
-            h1 = (h1 * b1 + t.byte[a]) % _FIELD
-            h2 = (h2 * b2 + t.byte[a]) % _FIELD
-        return h1, h2
-
-
-def slp_lcp(g: Slp, i: int, j: int, cap: int | None = None) -> int:
-    """lcp of the suffixes gen(g)[i:] and gen(g)[j:], optionally capped."""
-    return _lcp_between(g, i, g, j, cap)
-
-
-def _lcp_between(ga: Slp, ia: int, gb: Slp, ib: int, cap: int | None = None) -> int:
-    limit = min(ga.length - ia, gb.length - ib)
-    if cap is not None:
-        limit = min(limit, cap)
-    if limit <= 0:
-        return 0
-    if ga is gb and ia == ib:
-        return limit
-    if ga.access(ia) != gb.access(ib):
-        return 0
-    base_a = ga.prefix_fingerprint(ia)
-    base_b = gb.prefix_fingerprint(ib)
-    b1, b2 = ga.params.bases
-
-    def eq(ln: int) -> bool:
-        pw1, pw2 = pow(b1, ln, _FIELD), pow(b2, ln, _FIELD)
-        ha = ga.prefix_fingerprint(ia + ln)
-        hb = gb.prefix_fingerprint(ib + ln)
-        return ((ha[0] - base_a[0] * pw1) % _FIELD == (hb[0] - base_b[0] * pw1) % _FIELD
-                and (ha[1] - base_a[1] * pw2) % _FIELD == (hb[1] - base_b[1] * pw2) % _FIELD)
-
-    lo, step = 1, 1
-    while lo + step <= limit and eq(lo + step):
-        lo += step
-        step *= 2
-    hi = min(limit, lo + step)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if eq(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    if lo < limit and ga.access(ia + lo) == gb.access(ib + lo):
-        raise RuntimeError("fingerprint collision detected; rebuild with another seed")
-    return lo
-
-
-def slp_access(g: Slp, i: int) -> int:
-    return g.access(i)
-
-
-def slp_extract(g: Slp, l: int, r: int) -> bytes:
-    return g.extract(l, r)
-
 
 def slp_concat(a: Slp, b: Slp) -> Slp:
     """Grammar of size |a|+|b|+1 generating gen(a)·gen(b)."""
@@ -288,7 +179,7 @@ def slp_concat(a: Slp, b: Slp) -> Slp:
     return Slp(left, right, byte, len(left) - 1, a.params)
 
 
-def left_comb_slp(data: bytes, params: _FingerprintParams | None = None) -> Slp:
+def left_comb_slp(data: bytes, params: tuple[int, int] = FINGERPRINT_BASES) -> Slp:
     """Trivial O(|data|)-symbol grammar for plain text (testing helper)."""
     if len(data) == 0:
         raise ContractError("cannot build a grammar for the empty string")
@@ -416,15 +307,27 @@ def format_slp(g: Slp) -> bytes:
 
 
 class SlpBackend:
-    """Fragment interface over the strings generated by one or more SLPs."""
+    """Fragment interface over the strings generated by one or more SLPs.
+
+    Owner 2i is the i-th grammar and owner 2i+1 its reverse.  For each owner
+    the backend holds, per symbol a, the fingerprint fp[a] of gen(a) -- the
+    string read as a number in base b modulo the prime 2^61 - 1, for both
+    bases b of the grammars' params -- and pw[a] = b^|gen(a)|.  Fingerprints
+    only speed up lcp; each lcp is checked at its boundary character.
+    """
 
     def __init__(self, slps: list[Slp]):
         self._slps: list[Slp] = []
+        self._fp: list[list[tuple[int, int]]] = []
+        self._pw: list[list[tuple[int, int]]] = []
         for g in slps:
-            if g.params is not slps[0].params:
+            if g.params != slps[0].params:
                 raise ContractError("all grammars in a backend must share fingerprint bases")
-            self._slps.append(g)
-            self._slps.append(g.reversed())
+            for side in (g, g.reversed()):
+                fp, pw = self._fingerprint_tables(side)
+                self._slps.append(side)
+                self._fp.append(fp)
+                self._pw.append(pw)
 
     def handle(self, index: int) -> Fragment:
         return Fragment(2 * index, 0, self._slps[2 * index].length)
@@ -443,8 +346,7 @@ class SlpBackend:
         return self._slp(f).access(f.start + i)
 
     def lcp(self, a: Fragment, b: Fragment) -> int:
-        return _lcp_between(self._slp(a), a.start, self._slp(b), b.start,
-                            min(len(a), len(b)))
+        return self._lcp_between(a.owner, a.start, b.owner, b.start, min(len(a), len(b)))
 
     def lcp_r(self, a: Fragment, b: Fragment) -> int:
         return self.lcp(self.reversed_fragment(a), self.reversed_fragment(b))
@@ -454,13 +356,82 @@ class SlpBackend:
             raise ContractError("ipm pattern must be nonempty")
         if len(t) > 2 * len(p):
             raise ContractError("ipm window longer than twice the pattern")
-        pat = self.bytes_of(p)
-        txt = self.bytes_of(t)
-        hits = []
-        pos = txt.find(pat)
-        while pos != -1:
-            hits.append(pos)
-            pos = txt.find(pat, pos + 1)
-        if not hits:
-            return EMPTY_PROGRESSION
-        return _progression_from_sorted(hits)
+        return _progression_from_sorted(_find_all(self.bytes_of(p), self.bytes_of(t)))
+
+    # -- fingerprints ----------------------------------------------------------
+
+    @staticmethod
+    def _fingerprint_tables(g: Slp) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Per-symbol (fp, pw) of g, computed children before parents."""
+        t = g.t
+        b1, b2 = g.params
+        fp = [(0, 0)] * g.n_symbols
+        pw = [(0, 0)] * g.n_symbols
+        for a in g.order:
+            l, r = t.left[a], t.right[a]
+            if l < 0:
+                fp[a] = (t.byte[a], t.byte[a])
+                pw[a] = (b1, b2)
+            else:
+                fp[a] = ((fp[l][0] * pw[r][0] + fp[r][0]) % _FIELD,
+                         (fp[l][1] * pw[r][1] + fp[r][1]) % _FIELD)
+                pw[a] = (pw[l][0] * pw[r][0] % _FIELD, pw[l][1] * pw[r][1] % _FIELD)
+        return fp, pw
+
+    def _prefix_fingerprint(self, owner: int, x: int) -> tuple[int, int]:
+        """Fingerprint of gen(owner)[0:x), one descent combining left siblings."""
+        g = self._slps[owner]
+        t, fp, pw = g.t, self._fp[owner], self._pw[owner]
+        b1, b2 = g.params
+        h1 = h2 = 0
+        a = g.start
+        while x > 0 and t.left[a] >= 0:
+            l = t.left[a]
+            if x >= t.length[l]:
+                h1 = (h1 * pw[l][0] + fp[l][0]) % _FIELD
+                h2 = (h2 * pw[l][1] + fp[l][1]) % _FIELD
+                x -= t.length[l]
+                a = t.right[a]
+            else:
+                a = l
+        if x > 0:  # terminal, x == 1
+            h1 = (h1 * b1 + t.byte[a]) % _FIELD
+            h2 = (h2 * b2 + t.byte[a]) % _FIELD
+        return h1, h2
+
+    def _lcp_between(self, oa: int, ia: int, ob: int, ib: int, cap: int) -> int:
+        """lcp of gen(oa)[ia:] and gen(ob)[ib:], at most cap."""
+        ga, gb = self._slps[oa], self._slps[ob]
+        limit = min(ga.length - ia, gb.length - ib, cap)
+        if limit <= 0:
+            return 0
+        if ga is gb and ia == ib:
+            return limit
+        if ga.access(ia) != gb.access(ib):
+            return 0
+        base_a = self._prefix_fingerprint(oa, ia)
+        base_b = self._prefix_fingerprint(ob, ib)
+        b1, b2 = ga.params
+
+        def eq(ln: int) -> bool:
+            pw1, pw2 = pow(b1, ln, _FIELD), pow(b2, ln, _FIELD)
+            ha = self._prefix_fingerprint(oa, ia + ln)
+            hb = self._prefix_fingerprint(ob, ib + ln)
+            return ((ha[0] - base_a[0] * pw1) % _FIELD == (hb[0] - base_b[0] * pw1) % _FIELD
+                    and (ha[1] - base_a[1] * pw2) % _FIELD == (hb[1] - base_b[1] * pw2) % _FIELD)
+
+        lo, step = 1, 1
+        while lo + step <= limit and eq(lo + step):
+            lo += step
+            step *= 2
+        hi = min(limit, lo + step)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if eq(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo < limit and ga.access(ia + lo) == gb.access(ib + lo):
+            raise RuntimeError("fingerprint collision detected; build the grammars "
+                               "with other bases (Slp params)")
+        return lo

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pillar import ArithmeticProgression, ContractError, EMPTY_PROGRESSION, Fragment, \
-    _lcp_bytes, _progression_from_sorted
+from .pillar import ArithmeticProgression, ContractError, Fragment, _find_all, _lcp_bytes, \
+    _progression_from_sorted
 
 
 def _suffix_array(arr: np.ndarray) -> np.ndarray:
@@ -224,21 +224,11 @@ class StandardBackend:
 
     def scan_exact(self, p: Fragment, t: Fragment) -> list[int]:
         """All exact occurrences of p in t by a C-level substring scan."""
-        pat = self.bytes_of(p)
-        txt = self.bytes_of(t)
-        out = []
-        pos = txt.find(pat)
-        while pos != -1:
-            out.append(pos)
-            pos = txt.find(pat, pos + 1)
-        return out
+        return _find_all(self.bytes_of(p), self.bytes_of(t))
 
     def ipm(self, p: Fragment, t: Fragment) -> ArithmeticProgression:
         if len(p) < 1:
             raise ContractError("ipm pattern must be nonempty")
         if len(t) > 2 * len(p):
             raise ContractError("ipm window longer than twice the pattern")
-        hits = self.scan_exact(p, t)
-        if not hits:
-            return EMPTY_PROGRESSION
-        return _progression_from_sorted(hits)
+        return _progression_from_sorted(self.scan_exact(p, t))

@@ -17,7 +17,8 @@ from pillarmatch.edit import analyze_ed, edit_occurrences
 from pillarmatch.hamming import (ApproxPeriod, analyze_hd, mismatch_occurrences,
                                  periodic_matches_hd)
 from pillarmatch.oracle import brute_ed_occurrences, brute_hd_occurrences, brute_edl
-from pillarmatch.slp import Slp, left_comb_slp, parse_slp
+from pillarmatch.pillar import Fragment
+from pillarmatch.slp import Slp, SlpBackend, left_comb_slp, parse_slp
 from pillarmatch.standard import StandardBackend
 
 FIG_GRAMMAR = b"""SLP v1 5 5
@@ -314,6 +315,7 @@ def test_criterion_10b_slp_vs_decompression():
     mismatches = 0
     for _ in range(500):
         g = _random_slp(rng, rng.randrange(3, 101), alpha=3, cap=100_000)
+        backend = SlpBackend([g])
         full = g.extract(0, g.length)
         n = g.length
         assert len(full) == n
@@ -326,13 +328,12 @@ def test_criterion_10b_slp_vs_decompression():
         hi = rng.randrange(lo, n + 1)
         if g.extract(lo, hi) != full[lo:hi]:
             mismatches += 1
-        from pillarmatch.slp import slp_lcp
         for _ in range(probes):
             i, j = rng.randrange(n), rng.randrange(n)
             want = 0
             while i + want < n and j + want < n and full[i + want] == full[j + want]:
                 want += 1
-            if slp_lcp(g, i, j) != want:
+            if backend.lcp(Fragment(0, i, n), Fragment(0, j, n)) != want:
                 mismatches += 1
     assert mismatches == 0
     report("10b", "500 grammars: access/extract/lcp match decompression, "

@@ -5,8 +5,7 @@ import pytest
 from pillarmatch import Fragment, extract
 from pillarmatch.pillar import ContractError
 from pillarmatch.slp import (Slp, SlpBackend, SlpFormatError, format_slp,
-                             left_comb_slp, parse_slp, slp_access, slp_concat,
-                             slp_extract, slp_lcp)
+                             left_comb_slp, parse_slp, slp_concat)
 
 FIG_GRAMMAR = b"""SLP v1 5 5
 1 = 'a'
@@ -32,6 +31,19 @@ def random_slp(rng: random.Random, max_rules: int, alpha: int = 3, cap: int = 10
             left.pop(), right.pop(), byte.pop()
             break
     return Slp(left, right, byte, len(left) - 1)
+
+
+def suffix_lcp(be: SlpBackend, i: int, j: int) -> int:
+    """lcp of the suffixes at i and j of the first grammar's string."""
+    h = be.handle(0)
+    return be.lcp(extract(h, i, len(h)), extract(h, j, len(h)))
+
+
+def naive_lcp(a: bytes, b: bytes) -> int:
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
 
 
 class TestParse:
@@ -98,24 +110,24 @@ class TestParse:
 class TestQueries:
     def test_access_examples(self):
         g = parse_slp(FIG_GRAMMAR)
-        assert slp_access(g, 0) == ord("a")
-        assert slp_access(g, 2) == ord("b")
+        assert g.access(0) == ord("a")
+        assert g.access(2) == ord("b")
         g1 = parse_slp(b"SLP v1 1 1\n1 = 'x'\n")
-        assert slp_access(g1, 0) == ord("x")
+        assert g1.access(0) == ord("x")
         with pytest.raises(ContractError):
-            slp_access(g, 6)
+            g.access(6)
 
     def test_lcp_examples(self):
-        g = parse_slp(FIG_GRAMMAR)
-        assert slp_lcp(g, 0, 3) == 3
-        assert slp_lcp(g, 1, 1) == 5
-        assert slp_lcp(g, 1, 2) == 0
+        be = SlpBackend([parse_slp(FIG_GRAMMAR)])
+        assert suffix_lcp(be, 0, 3) == 3
+        assert suffix_lcp(be, 1, 1) == 5
+        assert suffix_lcp(be, 1, 2) == 0
 
     def test_extract_examples(self):
         g = parse_slp(FIG_GRAMMAR)
-        assert slp_extract(g, 0, 6) == b"aabaab"
-        assert slp_extract(g, 3, 6) == b"aab"
-        assert slp_extract(g, 2, 2) == b""
+        assert g.extract(0, 6) == b"aabaab"
+        assert g.extract(3, 6) == b"aab"
+        assert g.extract(2, 2) == b""
 
     def test_concat(self):
         a = left_comb_slp(b"ab")
@@ -134,6 +146,7 @@ class TestQueries:
         checked = 0
         for _ in range(120):
             g = random_slp(rng, rng.randrange(3, 80))
+            be = SlpBackend([g])
             full = g.extract(0, g.length)
             n = g.length
             checked += 1
@@ -146,10 +159,7 @@ class TestQueries:
                 assert g.extract(i, j) == full[i:j]
             for _ in range(40):
                 i, j = rng.randrange(n), rng.randrange(n)
-                want = 0
-                while i + want < n and j + want < n and full[i + want] == full[j + want]:
-                    want += 1
-                assert slp_lcp(g, i, j) == want
+                assert suffix_lcp(be, i, j) == naive_lcp(full[i:], full[j:])
         assert checked == 120
 
     def test_length_dp_consistency(self):
@@ -168,3 +178,30 @@ class TestQueries:
         assert be.lcp_r(Fragment(0, 0, 3), Fragment(0, 3, 6)) == 3  # "aab" vs "aab"
         prog = be.ipm(extract(h, 0, 3), extract(h, 0, 6))
         assert list(prog) == [0, 3]
+
+    def test_cross_grammar_lcp_against_naive(self):
+        # the second grammar ends with the first one's string, so aligned
+        # fragment pairs share long extensions across the two grammars
+        rng = random.Random(34)
+        for _ in range(60):
+            g = random_slp(rng, rng.randrange(2, 40), alpha=2, cap=5000)
+            head = random_slp(rng, rng.randrange(2, 40), alpha=2, cap=5000)
+            be = SlpBackend([g, slp_concat(head, g)])
+            fulls = [be.bytes_of(be.handle(0)), be.bytes_of(be.handle(1))]
+            for _ in range(30):
+                lo0 = rng.randrange(g.length + 1)
+                hi0 = rng.randrange(lo0, g.length + 1)
+                n1 = len(fulls[1])
+                lo1 = head.length + lo0 if rng.random() < 0.5 else rng.randrange(n1 + 1)
+                hi1 = rng.randrange(lo1, n1 + 1)
+                a = extract(be.handle(0), lo0, hi0)
+                b = extract(be.handle(1), lo1, hi1)
+                sa, sb = fulls[0][lo0:hi0], fulls[1][lo1:hi1]
+                assert be.lcp(a, b) == naive_lcp(sa, sb)
+                assert be.lcp_r(a, b) == naive_lcp(sa[::-1], sb[::-1])
+
+    def test_backend_grammars_share_bases(self):
+        a = left_comb_slp(b"ab")
+        SlpBackend([a, left_comb_slp(b"ba", a.params)])
+        with pytest.raises(ContractError):
+            SlpBackend([a, left_comb_slp(b"ab", (3, 5))])

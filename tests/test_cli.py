@@ -3,8 +3,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from pillarmatch import cli
 from pillarmatch.slp import format_slp, left_comb_slp, parse_slp
 
@@ -129,27 +127,29 @@ def test_analyze_bad_k():
     assert res.returncode == 4
 
 
-@pytest.mark.parametrize("seed_args", [["--seed", "7"], []])
-def test_deterministic_outputs(tmp_path, seed_args):
+def test_deterministic_outputs(tmp_path):
+    # outputs depend on the inputs alone; a PM_SEED in the environment changes nothing
     fig = tmp_path / "fig.slp"
     fig.write_bytes(FIG_GRAMMAR)
     args = ["search", "--metric", "edit", "-k", "1",
-            "--pattern-lit", "aab", "--text-slp", str(fig), *seed_args]
-    first = run_pm(*args, env_extra={"PM_SEED": "123"})
-    second = run_pm(*args, env_extra={"PM_SEED": "123"})
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
+            "--pattern-lit", "aab", "--text-slp", str(fig)]
+    first = run_pm(*args)
+    second = run_pm(*args)
+    seeded = run_pm(*args, env_extra={"PM_SEED": "123"})
+    assert first.returncode == second.returncode == seeded.returncode == 0
+    assert first.stdout == second.stdout == seeded.stdout
 
 
 def test_usage_error_exit_2(tmp_path):
-    # argparse rejects an unknown option (here --jobs) with exit code 2
+    # argparse rejects an unknown option (--jobs, --seed) with exit code 2
     fig = tmp_path / "fig.slp"
     fig.write_bytes(FIG_GRAMMAR)
-    res = run_pm("search", "--metric", "hamming", "-k", "1",
-                 "--pattern-lit", "aab", "--text-slp", str(fig), "--jobs", "2")
-    assert res.returncode == 2
-    assert "unrecognized arguments" in res.stderr
-    assert res.stdout == ""
+    for extra in (["--jobs", "2"], ["--seed", "7"]):
+        res = run_pm("search", "--metric", "hamming", "-k", "1",
+                     "--pattern-lit", "aab", "--text-slp", str(fig), *extra)
+        assert res.returncode == 2
+        assert "unrecognized arguments" in res.stderr
+        assert res.stdout == ""
 
 
 def test_literal_outside_latin1_exit_2():

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from pillarmatch.compressed import (EDIT, HAMMING, build_pattern_once,
-                                    count_occurrences_compressed,
+from pillarmatch.compressed import (EDIT, HAMMING, count_occurrences_compressed,
                                     report_occurrences_compressed)
 from pillarmatch.oracle import brute_ed_occurrences, brute_hd_occurrences
 from pillarmatch.pillar import ContractError
@@ -39,6 +38,14 @@ def random_slp(rng: random.Random, max_rules: int, alpha: int = 2, cap: int = 30
     return Slp(left, right, byte, len(left) - 1)
 
 
+def _assert_matches_oracle(g_t: Slp, g_p: Slp, text: bytes, pattern: bytes) -> None:
+    for k in range(len(pattern) + 1):
+        for metric, oracle in ((HAMMING, brute_hd_occurrences), (EDIT, brute_ed_occurrences)):
+            want = oracle(pattern, text, k)
+            assert count_occurrences_compressed(g_t, g_p, k, metric) == len(want)
+            assert set(report_occurrences_compressed(g_t, g_p, k, metric).positions()) == want
+
+
 class TestFigureCases:
     def test_count_exact(self):
         g_t = fig()
@@ -72,23 +79,22 @@ class TestFigureCases:
 
 
 class TestPatternBundle:
+    """count and report decompress the pattern grammar once per query."""
+
     def test_decompression(self):
-        bundle = build_pattern_once(left_comb_slp(b"aab"))
-        assert bundle.data == b"aab"
+        g_t = left_comb_slp(b"xaabyaab")
+        _assert_matches_oracle(g_t, left_comb_slp(b"aab", g_t.params), b"xaabyaab", b"aab")
 
     def test_single_rule(self):
-        bundle = build_pattern_once(left_comb_slp(b"x"))
-        assert bundle.data == b"x"
+        g_t = fig()
+        _assert_matches_oracle(g_t, left_comb_slp(b"b", g_t.params), b"aabaab", b"b")
 
     def test_concat_roundtrip(self):
         a = left_comb_slp(b"abc")
         b = left_comb_slp(b"dabc", a.params)
-        assert build_pattern_once(slp_concat(a, b)).data == b"abcdabc"
-
-    def test_analysis_cached(self):
-        bundle = build_pattern_once(left_comb_slp(bytes(range(97, 113)) * 8))
-        first = bundle.analysis(HAMMING, 2)
-        assert bundle.analysis(HAMMING, 2) is first
+        g_p = slp_concat(a, b)
+        g_t = left_comb_slp(b"xxabcdabcxabcdabd")
+        _assert_matches_oracle(g_t, g_p, b"xxabcdabcxabcdabd", b"abcdabc")
 
     def test_bad_threshold(self):
         g = fig()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillarmatch import (ArithmeticProgression, ContractError, OccurrenceSet, access,
-                         equal, exact_matches, extract, ipm, lcp_power, period,
-                         rotations)
+from pillarmatch.pillar import (ArithmeticProgression, ContractError, OccurrenceSet, access,
+                                equal, exact_matches, extract, lcp_power, period, rotations)
+from pillarmatch.slp import SlpBackend, left_comb_slp
 from pillarmatch.standard import StandardBackend
 
 
@@ -107,16 +107,16 @@ class TestIpm:
     def test_examples(self):
         b = be(b"aba", b"ababa", b"ab", b"ba", b"aa", b"aaaa")
         h = handles(b, 6)
-        prog = ipm(b, h[0], h[1])
+        prog = b.ipm(h[0], h[1])
         assert (prog.first, prog.diff, prog.count) == (0, 2, 2)
-        assert ipm(b, h[2], h[3]).count == 0
-        prog = ipm(b, h[4], h[5])
+        assert b.ipm(h[2], h[3]).count == 0
+        prog = b.ipm(h[4], h[5])
         assert (prog.first, prog.diff, prog.count) == (0, 1, 3)
 
     def test_precondition(self):
         b = be(b"ab", b"ababab")
         with pytest.raises(ContractError):
-            ipm(b, b.handle(0), b.handle(1))
+            b.ipm(b.handle(0), b.handle(1))
 
     def test_exhaustive_small_binary(self):
         for lt in range(1, 9):
@@ -126,7 +126,7 @@ class TestIpm:
                     for p_bits in range(1 << lp):
                         p = bytes(97 + ((p_bits >> i) & 1) for i in range(lp))
                         b = be(p, t)
-                        got = list(ipm(b, b.handle(0), b.handle(1)))
+                        got = list(b.ipm(b.handle(0), b.handle(1)))
                         assert got == naive_occurrences(p, t)
 
     def test_random_up_to_12(self):
@@ -137,7 +137,7 @@ class TestIpm:
             t = bytes(rng.randrange(2) + 97 for _ in range(lt))
             p = bytes(rng.randrange(2) + 97 for _ in range(lp))
             b = be(p, t)
-            assert list(ipm(b, b.handle(0), b.handle(1))) == naive_occurrences(p, t)
+            assert list(b.ipm(b.handle(0), b.handle(1))) == naive_occurrences(p, t)
 
     def test_diff_is_period_when_two_hits(self):
         # the period guarantee needs overlapping occurrences, i.e. |t| < 2|p|;
@@ -149,7 +149,7 @@ class TestIpm:
             p = bytes(rng.randrange(2) + 97 for _ in range(lp))
             t = (p * 3)[: rng.randrange(lp, 2 * lp)]
             b = be(p, t)
-            prog = ipm(b, b.handle(0), b.handle(1))
+            prog = b.ipm(b.handle(0), b.handle(1))
             if prog.count >= 2:
                 seen += 1
                 assert prog.diff == naive_period(p)
@@ -286,7 +286,8 @@ class TestExactMatches:
             assert sorted(exact_matches(b, b.handle(0), b.handle(1))) == naive_occurrences(p, t)
 
     def test_windowed_route_matches_scan(self):
-        # the generic ipm-window route must agree with the backend fast path
+        # the generic ipm-window route (SlpBackend has no scan_exact) must
+        # agree with the backend fast path, as the same ascending list
         rng = random.Random(14)
         for _ in range(300):
             n = rng.randrange(1, 50)
@@ -302,7 +303,9 @@ class TestExactMatches:
                     continue
                 for h in b.ipm(hp, extract(ht, lo, hi)):
                     hits.add(lo + h)
-            assert sorted(hits) == sorted(exact_matches(b, hp, ht))
+            assert exact_matches(b, hp, ht) == sorted(hits)
+            sb = SlpBackend([left_comb_slp(p), left_comb_slp(t)])
+            assert exact_matches(sb, sb.handle(0), sb.handle(1)) == sorted(hits)
 
 
 class TestOccurrenceSet:
@@ -314,7 +317,8 @@ class TestOccurrenceSet:
 
     def test_dedup_and_union(self):
         a = OccurrenceSet.from_positions([1, 3, 5])
-        c = a.union(OccurrenceSet.from_positions([3, 5, 7]))
+        c = OccurrenceSet.from_progressions(
+            a.progressions + OccurrenceSet.from_positions([3, 5, 7]).progressions)
         assert c.positions() == [1, 3, 5, 7]
         assert len(c.progressions) == 1
 
