@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from pillarmatch import cli
 from pillarmatch.slp import format_slp, left_comb_slp, parse_slp
 
@@ -127,17 +129,18 @@ def test_analyze_bad_k():
     assert res.returncode == 4
 
 
-def test_deterministic_outputs(tmp_path):
+@pytest.mark.parametrize("seed_args", [{"PM_SEED": "123"}, {}])
+def test_deterministic_outputs(tmp_path, seed_args):
     # outputs depend on the inputs alone; a PM_SEED in the environment changes nothing
     fig = tmp_path / "fig.slp"
     fig.write_bytes(FIG_GRAMMAR)
     args = ["search", "--metric", "edit", "-k", "1",
             "--pattern-lit", "aab", "--text-slp", str(fig)]
-    first = run_pm(*args)
-    second = run_pm(*args)
-    seeded = run_pm(*args, env_extra={"PM_SEED": "123"})
-    assert first.returncode == second.returncode == seeded.returncode == 0
-    assert first.stdout == second.stdout == seeded.stdout
+    plain = run_pm(*args)
+    first = run_pm(*args, env_extra=seed_args)
+    second = run_pm(*args, env_extra=seed_args)
+    assert plain.returncode == first.returncode == second.returncode == 0
+    assert plain.stdout == first.stdout == second.stdout
 
 
 def test_usage_error_exit_2(tmp_path):
