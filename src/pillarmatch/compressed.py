@@ -41,7 +41,7 @@ def _terminal_count(byte: int, pattern: bytes, k: int, metric: str) -> int:
 
 
 def _window_starts(g_t: Slp, sym: int, bl: int, cl: int, pattern: bytes, k: int,
-                   metric: str, analysis) -> list[int]:
+                   metric: str, match, analysis) -> list[int]:
     """Starts charged to rule sym (A -> BC), local to its window: the last bl
     bytes of gen(B) followed by the first cl bytes of gen(C)."""
     beta = g_t.t.length[g_t.t.left[sym]]
@@ -49,7 +49,6 @@ def _window_starts(g_t: Slp, sym: int, bl: int, cl: int, pattern: bytes, k: int,
     backend = StandardBackend([pattern, window])
     p = backend.handle(0)
     w = backend.handle(1)
-    match = _matcher(metric)
     starts = [pos for pos in match(backend, p, w, k, analysis).positions() if pos < bl]
     if metric == EDIT and starts:
         inside = match(backend, p, extract(w, 0, bl), k, analysis)
@@ -72,6 +71,7 @@ def _per_symbol(g_t: Slp, g_p: Slp, k: int,
     distinct pair is matched once per query, and every other rule sharing it
     only shifts the stored starts.
     """
+    match = _matcher(metric)  # an unknown metric fails before any work
     pattern = g_p.extract(0, g_p.length)
     m = len(pattern)
     if not 0 <= k <= m:
@@ -108,7 +108,7 @@ def _per_symbol(g_t: Slp, g_p: Slp, k: int,
             local = memo.get(key)
             if local is None:
                 local = memo[key] = _window_starts(g_t, sym, bl, cl, pattern, k, metric,
-                                                    analysis)
+                                                    match, analysis)
             shift = length[left] - bl
             starts = [shift + pos for pos in local] if shift and local else local
         crossing[sym] = starts

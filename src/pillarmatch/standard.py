@@ -1,15 +1,13 @@
-"""Plain in-memory backend: byte strings plus suffix-array LCE indices.
+"""Plain in-memory backend: byte strings plus one suffix-array LCE index.
 
 Every registered string is kept with its reverse; the reverses serve the
-suffix-side queries (lcp_r and the right-to-left generators).  The two sides
-are indexed apart: the forward strings form one integer corpus and the
-reversed strings another, each string followed by a unique negative
-separator.  A side's longest-common-extension structure -- suffix array, lcp
+suffix-side queries (lcp_r and the right-to-left generators).  The forward
+strings form one integer corpus, each string followed by a unique negative
+separator, and its longest-common-extension structure -- suffix array, lcp
 array, and a blocked range-minimum table -- is built on the first lcp between
-two fragments of that side, so a query pays only for the side it uses, and
-pure scanning workloads (exact matching, character access) build nothing.
-An lcp between a forward and a reversed fragment is answered by galloping
-byte comparison instead.
+two forward fragments, so pure scanning workloads (exact matching, character
+access) build nothing.  An lcp that touches a reversed fragment is answered
+by galloping byte comparison over the stored bytes and never builds an index.
 """
 
 from __future__ import annotations
@@ -126,7 +124,7 @@ class _BlockRmq:
 
 
 def _build_index(strings: list[bytes]) -> tuple[_BlockRmq, np.ndarray]:
-    """LCE structure over one side's corpus: the strings in order, each
+    """LCE structure over a corpus: the strings in order, each
     followed by a unique negative separator.  Returns the range-minimum table
     over the lcp array and the rank of every corpus position."""
     total = sum(len(s) + 1 for s in strings)
@@ -143,10 +141,10 @@ def _build_index(strings: list[bytes]) -> tuple[_BlockRmq, np.ndarray]:
 
 
 class StandardBackend:
-    """In-memory strings with O(1)-style lcp/lcp_r after lazy index build.
+    """In-memory strings with O(1)-style forward lcp after a lazy index build.
 
-    Owner 2i is the i-th registered string and owner 2i+1 its reverse; both
-    start at corpus offset _offsets[i] of their side's corpus.
+    Owner 2i is the i-th registered string and owner 2i+1 its reverse; the
+    i-th string starts at offset _offsets[i] of the index corpus.
     """
 
     def __init__(self, strings: list[bytes]):
@@ -160,20 +158,15 @@ class StandardBackend:
             self._strings.extend((data, data[::-1]))
             self._offsets.append(pos)
             pos += len(data) + 1
-        # forward-side and reversed-side LCE indices, built by _side_index
+        # the forward strings' LCE index, built by the first forward lcp
         self._rmq: _BlockRmq | None = None
         self._rank: np.ndarray | None = None
-        self._rmq_r: _BlockRmq | None = None
-        self._rank_r: np.ndarray | None = None
 
     # -- handle plumbing ----------------------------------------------------
 
     def handle(self, index: int) -> Fragment:
         """Whole-string handle for the index-th registered string."""
         return Fragment(2 * index, 0, len(self._strings[2 * index]))
-
-    def owners(self) -> int:
-        return len(self._strings) // 2
 
     def reversed_fragment(self, f: Fragment) -> Fragment:
         n = len(self._strings[f.owner])
@@ -187,37 +180,27 @@ class StandardBackend:
     def access(self, f: Fragment, i: int) -> int:
         return self._strings[f.owner][f.start + i]
 
-    def _side_index(self, side: int) -> tuple[_BlockRmq, np.ndarray]:
-        """The side's (rmq, rank), built on first use.  The rank attribute is
-        the guard and is assigned last, so concurrent readers never see a
-        half-built index."""
-        if side:
-            if self._rank_r is None:
-                self._rmq_r, self._rank_r = _build_index(self._strings[1::2])
-            return self._rmq_r, self._rank_r
-        if self._rank is None:
-            self._rmq, self._rank = _build_index(self._strings[0::2])
-        return self._rmq, self._rank
-
     def lcp(self, a: Fragment, b: Fragment) -> int:
         la, lb = len(a), len(b)
         if la == 0 or lb == 0:
             return 0
+        if a.owner == b.owner and a.start == b.start:
+            return min(la, lb)
         sa_, sb_ = self._strings[a.owner], self._strings[b.owner]
         if sa_[a.start] != sb_[b.start]:
             return 0
-        side = a.owner & 1
-        if side != b.owner & 1:
+        if (a.owner | b.owner) & 1:  # a reversed fragment: gallop
             return _lcp_bytes(sa_, sb_, a.start, b.start, min(la, lb))
         pa = self._offsets[a.owner >> 1] + a.start
         pb = self._offsets[b.owner >> 1] + b.start
-        if pa == pb:
-            return min(la, lb)
-        rmq, rank = self._side_index(side)
-        ra, rb = int(rank[pa]), int(rank[pb])
+        if self._rank is None:
+            # _rank is the guard and is assigned last, so concurrent readers
+            # never see a half-built index
+            self._rmq, self._rank = _build_index(self._strings[0::2])
+        ra, rb = int(self._rank[pa]), int(self._rank[pb])
         if ra > rb:
             ra, rb = rb, ra
-        return min(rmq.query(ra + 1, rb + 1), la, lb)
+        return min(self._rmq.query(ra + 1, rb + 1), la, lb)
 
     def lcp_r(self, a: Fragment, b: Fragment) -> int:
         return self.lcp(self.reversed_fragment(a), self.reversed_fragment(b))

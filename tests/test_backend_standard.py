@@ -108,22 +108,19 @@ def test_suffix_array_matches_naive(sigma):
         assert _suffix_array(np.array(corpus, dtype=np.int64)).tolist() == want
 
 
-def test_each_side_builds_its_own_index():
+def test_only_forward_lcp_builds_the_index():
     text = b"abracadabra" * 3
-    fwd = StandardBackend([text])
-    h = fwd.handle(0)
-    fwd.lcp(extract(h, 0, 11), extract(h, 11, 22))
-    assert fwd._rank is not None and fwd._rank_r is None
-
-    rev = StandardBackend([text])
-    h = rev.handle(0)
-    assert rev.lcp_r(extract(h, 0, 11), extract(h, 11, 22)) == 11
-    assert rev._rank is None and rev._rank_r is not None
-
-    scan = StandardBackend([b"abra", text])
-    scan.scan_exact(scan.handle(0), scan.handle(1))
-    scan.ipm(scan.handle(0), extract(scan.handle(1), 0, 8))
-    assert scan._rank is None and scan._rank_r is None
+    b = StandardBackend([b"abra", text])
+    h = b.handle(1)
+    b.scan_exact(b.handle(0), h)
+    b.ipm(b.handle(0), extract(h, 0, 8))
+    assert b.lcp_r(extract(h, 0, 11), extract(h, 11, 22)) == 11
+    rh = b.reversed_fragment(h)
+    assert b.lcp(rh, extract(rh, 11, 33)) == 22
+    assert b.lcp(extract(h, 0, 4), b.reversed_fragment(b.handle(0))) == 1
+    assert b._rank is None  # reversed and mixed lcp gallop
+    assert b.lcp(extract(h, 0, 11), extract(h, 11, 22)) == 11
+    assert b._rank is not None
 
 
 def test_cross_side_lcp_matches_naive():
@@ -139,7 +136,34 @@ def test_cross_side_lcp_matches_naive():
         b1 = rng.randrange(len(sj) + 1)
         b2 = rng.randrange(b1, len(sj) + 1)
         fa = extract(b.handle(i), a1, a2)
-        fb = b.reversed_fragment(extract(b.handle(j), b1, b2))
-        assert b.lcp(fa, fb) == naive_lcp(si[a1:a2], sj[b1:b2][::-1])
-        assert b.lcp(fb, fa) == naive_lcp(sj[b1:b2][::-1], si[a1:a2])
-    assert b._rank is None and b._rank_r is None
+        fb = extract(b.handle(j), b1, b2)
+        ra, rb = si[a1:a2][::-1], sj[b1:b2][::-1]
+        assert b.lcp(fa, b.reversed_fragment(fb)) == naive_lcp(si[a1:a2], rb)
+        assert b.lcp(b.reversed_fragment(fb), fa) == naive_lcp(rb, si[a1:a2])
+        assert b.lcp(b.reversed_fragment(fa), b.reversed_fragment(fb)) == naive_lcp(ra, rb)
+        assert b.lcp_r(fa, fb) == naive_lcp(ra, rb)
+    assert b._rank is None
+
+
+@pytest.mark.parametrize("unit", [b"a", b"ab"])
+def test_long_lcp_r_with_planted_mismatch(unit):
+    """Common suffixes thousands of bytes long, cut by one mismatch at an
+    offset around a power of two, the lengths random strings rarely reach."""
+    for n in (2 ** 12 - 1, 2 ** 12 + 1):
+        clean = (unit * n)[:n]
+        for e in range(12):
+            for d in (2 ** e - 1, 2 ** e, 2 ** e + 1):
+                dirty = bytearray(clean)
+                dirty[n - 1 - d] = ord("x")
+                dirty = bytes(dirty)
+                b = StandardBackend([clean, dirty])
+                c, h = b.handle(0), b.handle(1)
+                pairs = [(c, h, clean, dirty),
+                         (extract(c, 0, n - len(unit)), extract(h, len(unit), n),
+                          clean[:n - len(unit)], dirty[len(unit):]),
+                         (extract(h, 0, n - len(unit)), extract(h, len(unit), n),
+                          dirty[:n - len(unit)], dirty[len(unit):])]
+                for fa, fb, sa, sb in pairs:
+                    assert b.lcp_r(fa, fb) == naive_lcp(sa[::-1], sb[::-1]), (n, d)
+                assert b.lcp_r(c, h) == d
+                assert b._rank is None

@@ -102,6 +102,15 @@ class TestPatternBundle:
         with pytest.raises(ContractError):
             count_occurrences_compressed(g, g_p, 99, HAMMING)
 
+    @pytest.mark.parametrize("entry", [count_occurrences_compressed,
+                                       report_occurrences_compressed])
+    @pytest.mark.parametrize("text", [b"a", b"abab"])
+    def test_unknown_metric(self, entry, text):
+        # a one-byte text matches no rule window, so the metric must be
+        # checked before the terminal counts
+        with pytest.raises(ContractError, match="unknown metric"):
+            entry(left_comb_slp(text), left_comb_slp(b"ab"), 1, "hamm")
+
 
 class TestPipelineEquivalence:
     def test_random_pairs(self):

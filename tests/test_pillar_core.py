@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillarmatch.pillar import (ArithmeticProgression, ContractError, OccurrenceSet, access,
-                                equal, exact_matches, extract, lcp_power, period, rotations)
+from pillarmatch.pillar import (ArithmeticProgression, ContractError, OccurrenceSet, _lcp_bytes,
+                                access, equal, exact_matches, extract, lcp_power, period,
+                                rotations)
 from pillarmatch.slp import SlpBackend, left_comb_slp
 from pillarmatch.standard import StandardBackend
 
@@ -17,6 +18,13 @@ def be(*strings: bytes) -> StandardBackend:
 
 def handles(backend, count):
     return [backend.handle(i) for i in range(count)]
+
+
+def naive_lcp(a: bytes, b: bytes) -> int:
+    i = 0
+    while i < len(a) and i < len(b) and a[i] == b[i]:
+        i += 1
+    return i
 
 
 def naive_occurrences(p: bytes, t: bytes) -> list[int]:
@@ -92,6 +100,25 @@ class TestLcp:
         assert s[:l] == t[:l]
         if l < min(len(s), len(t)):
             assert s[l] != t[l]
+
+    def test_lcp_bytes_against_naive(self):
+        """Every (i, j) and every cap around a power of two that fits both
+        suffixes, so each galloping step and the binary search meet their
+        boundaries."""
+        rng = random.Random(25)
+        words = [b"a" * 19, b"ab" * 10, b"abaababaabaab", b"aaaaaaaaaaaaaaab"]
+        words += [bytes(rng.randrange(2) + 97 for _ in range(rng.randrange(1, 20)))
+                  for _ in range(6)]
+        for a in words:
+            for b in words:
+                for i in range(len(a)):
+                    for j in range(len(b)):
+                        room = min(len(a) - i, len(b) - j)
+                        full = naive_lcp(a[i:], b[j:])
+                        caps = {room} | {c for e in range(5)
+                                         for c in (2 ** e - 1, 2 ** e, 2 ** e + 1) if c <= room}
+                        for cap in caps:
+                            assert _lcp_bytes(a, b, i, j, cap) == min(full, cap), (a, b, i, j, cap)
 
 
 class TestEqual:
