@@ -104,11 +104,15 @@ def _run_search(args) -> int:
         text_bytes = g_t.extract(0, g_t.length) if args.oracle else None
         pattern_bytes = g_p.extract(0, g_p.length) if args.oracle else None
     else:
-        pattern_bytes = pval if pkind == "plain" else pval.extract(0, pval.length)
         text_bytes = tval
-        backend = StandardBackend([pattern_bytes, text_bytes])
-        fn = mismatch_occurrences if args.metric == HAMMING else edit_occurrences
-        occ = fn(backend, backend.handle(0), backend.handle(1), args.k)
+        pad = args.k if args.metric == EDIT else 0
+        if plen - pad > len(text_bytes):  # no occurrence fits; skip extracting the pattern
+            pattern_bytes, occ = None, OccurrenceSet.empty()
+        else:
+            pattern_bytes = pval if pkind == "plain" else pval.extract(0, pval.length)
+            backend = StandardBackend([pattern_bytes, text_bytes])
+            fn = mismatch_occurrences if args.metric == HAMMING else edit_occurrences
+            occ = fn(backend, backend.handle(0), backend.handle(1), args.k)
 
     if args.oracle:
         from .oracle import brute_ed_occurrences, brute_hd_occurrences

@@ -14,6 +14,7 @@ positions.
 
 from __future__ import annotations
 
+from .driver import BREAK_DIV
 from .edit import analyze_ed, edit_occurrences
 from .hamming import analyze_hd, mismatch_occurrences
 from .pillar import ContractError, OccurrenceSet, extract
@@ -72,18 +73,20 @@ def _per_symbol(g_t: Slp, g_p: Slp, k: int,
     only shifts the stored starts.
     """
     match = _matcher(metric)  # an unknown metric fails before any work
-    pattern = g_p.extract(0, g_p.length)
-    m = len(pattern)
+    m = g_p.length
     if not 0 <= k <= m:
         raise ContractError("threshold must satisfy 0 <= k <= |pattern|")
+    pad = k if metric == EDIT else 0
+    if m - pad > g_t.length:  # no occurrence fits; the pattern is never extracted
+        return [0] * g_t.n_symbols, {}
+    pattern = g_p.extract(0, m)
     analysis = None
-    if k and 8 * k <= m:  # else the matchers route around the analysis
+    if k and BREAK_DIV * k <= m:  # else the matchers route around the analysis
         backend = StandardBackend([pattern])
         analyze = analyze_hd if metric == HAMMING else analyze_ed
         analysis = analyze(backend, backend.handle(0), k)
     t = g_t.t
     length = t.length
-    pad = k if metric == EDIT else 0
     reach = m - 1 + pad
     suf = list(range(g_t.n_symbols))
     pre = list(range(g_t.n_symbols))

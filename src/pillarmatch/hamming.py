@@ -341,7 +341,7 @@ def _dense_mismatch_scan(backend, p: Fragment, t: Fragment, k: int) -> Occurrenc
     counts = np.zeros(width, dtype=np.int32)
     for r in range(m):
         counts += tb[r:r + width] != pb[r]
-    return OccurrenceSet.from_positions(np.flatnonzero(counts <= k))
+    return OccurrenceSet.from_positions(np.flatnonzero(counts <= k).tolist())
 
 
 def mismatch_occurrences(backend, p: Fragment, t: Fragment, k: int,

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 
 class ContractError(ValueError):
     """A caller violated an operation's precondition."""
@@ -30,10 +28,6 @@ class Fragment:
 
     def __len__(self) -> int:
         return self.end - self.start
-
-    @property
-    def empty(self) -> bool:
-        return self.end <= self.start
 
 
 def extract(s: Fragment, l: int, r: int) -> Fragment:
@@ -75,11 +69,12 @@ EMPTY_PROGRESSION = ArithmeticProgression(0, 1, 0)
 class OccurrenceSet:
     """Canonical set of positions stored as disjoint arithmetic progressions.
 
-    Canonical form: progressions sorted by first element, pairwise disjoint,
-    enumeration strictly increasing, and re-encoded greedily so that no two
-    adjacent progressions with the same difference touch.  Built by
-    materializing and deduplicating positions, which is exact and cheap at
-    the output sizes this package produces.
+    Canonical form: the distinct positions in ascending order, encoded
+    greedily from the left -- each progression is the longest run with a
+    constant gap starting at the first position not yet covered, and a last
+    lone position becomes (x, 1, 1).  Built by materializing and
+    deduplicating positions, which is exact and cheap at the output sizes
+    this package produces.
     """
 
     __slots__ = ("progressions",)
@@ -93,46 +88,11 @@ class OccurrenceSet:
 
     @classmethod
     def from_positions(cls, positions: Iterable[int]) -> "OccurrenceSet":
-        arr = np.unique(np.fromiter(positions, dtype=np.int64))
-        return cls._encode(arr)
+        return cls(_encode(sorted(set(positions))))
 
     @classmethod
     def from_progressions(cls, progs: Iterable[ArithmeticProgression]) -> "OccurrenceSet":
-        chunks = [np.arange(p.first, p.first + p.count * p.diff, p.diff, dtype=np.int64)
-                  for p in progs if p.count > 0]
-        if not chunks:
-            return cls.empty()
-        return cls._encode(np.unique(np.concatenate(chunks)))
-
-    @classmethod
-    def _encode(cls, arr: np.ndarray) -> "OccurrenceSet":
-        # Greedy left-to-right run encoding: take the longest constant-gap
-        # run starting at the cursor; runs of fewer than two elements become
-        # count-1 progressions with diff 1.
-        n = len(arr)
-        if n == 0:
-            return cls.empty()
-        if n == 1:
-            return cls([ArithmeticProgression(int(arr[0]), 1, 1)])
-        gaps = np.diff(arr)
-        # boundaries[i] is True where gaps[i] != gaps[i-1]
-        cut = np.flatnonzero(gaps[1:] != gaps[:-1]) + 1
-        run_starts = np.concatenate(([0], cut))            # index into gaps
-        run_ends = np.concatenate((cut, [len(gaps)]))      # exclusive
-        progs: list[ArithmeticProgression] = []
-        idx = 0
-        for rs, re in zip(run_starts.tolist(), run_ends.tolist()):
-            if idx > rs:
-                rs = idx
-                if rs >= re:
-                    continue
-            d = int(gaps[rs])
-            count = re - rs + 1
-            progs.append(ArithmeticProgression(int(arr[rs]), d, count))
-            idx = re + 1
-        if idx == n - 1:
-            progs.append(ArithmeticProgression(int(arr[-1]), 1, 1))
-        return cls(progs)
+        return cls(_encode(sorted({x for p in progs for x in p})))
 
     def positions(self) -> list[int]:
         out: list[int] = []
@@ -160,6 +120,25 @@ class OccurrenceSet:
     def __repr__(self) -> str:
         inner = ", ".join(f"({p.first},{p.diff},{p.count})" for p in self.progressions)
         return f"OccurrenceSet[{inner}]"
+
+
+def _encode(xs: list[int]) -> list[ArithmeticProgression]:
+    """Greedy run encoding of an ascending list without duplicates, in the
+    canonical form that OccurrenceSet documents."""
+    progs: list[ArithmeticProgression] = []
+    n = len(xs)
+    i = 0
+    while i < n - 1:
+        first = xs[i]
+        d = xs[i + 1] - first
+        j = i + 1
+        while j + 1 < n and xs[j + 1] - xs[j] == d:
+            j += 1
+        progs.append(ArithmeticProgression(first, d, j - i + 1))
+        i = j + 1
+    if i == n - 1:
+        progs.append(ArithmeticProgression(xs[i], 1, 1))
+    return progs
 
 
 def _lcp_bytes(a: bytes, b: bytes, i: int, j: int, cap: int) -> int:

@@ -6,6 +6,8 @@ import time
 import pytest
 
 from pillarmatch import cli
+from pillarmatch.compressed import count_occurrences_compressed, \
+    report_occurrences_compressed
 from pillarmatch.slp import format_slp, left_comb_slp, parse_slp
 
 FIG_GRAMMAR = b"""SLP v1 5 5
@@ -52,21 +54,50 @@ def test_count_mode_slp(tmp_path):
     assert res.stdout == "total=2\n"
 
 
+def _power_slp(path, e: int) -> str:
+    """Writes a grammar for a^(2^e), rule i + 1 = rule i twice; returns its path."""
+    rules = ["1 = 'a'"] + [f"{i + 1} = {i} {i}" for i in range(1, e + 1)]
+    path.write_text(f"SLP v1 {e + 1} {e + 1}\n" + "\n".join(rules) + "\n")
+    return str(path)
+
+
 def test_count_mode_slp_huge_text(tmp_path, capsys):
     """--count on a^(2^40) is answered from the grammar, not from 2^40 outputs."""
     e = 40
-    rules = ["1 = 'a'"] + [f"{i + 1} = {i} {i}" for i in range(1, e + 1)]
-    huge = tmp_path / "huge.slp"
-    huge.write_text(f"SLP v1 {e + 1} {e + 1}\n" + "\n".join(rules) + "\n")
+    huge = _power_slp(tmp_path / "huge.slp", e)
     # every window aaaa is one mismatch from aaab; edits also reach one start more
     for metric, total in (("hamming", 2 ** e - 3), ("edit", 2 ** e - 2)):
         t0 = time.perf_counter()
         rc = cli.main(["search", "--metric", metric, "-k", "1", "--pattern-lit", "aaab",
-                       "--text-slp", str(huge), "--count"])
+                       "--text-slp", huge, "--count"])
         elapsed = time.perf_counter() - t0
         assert rc == 0
         assert capsys.readouterr().out == f"total={total}\n"
         assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("metric", ["hamming", "edit"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_huge_pattern_short_text(tmp_path, capsys, metric, k):
+    """A pattern a^(2^40) that cannot fit in the text is answered without
+    extracting it, on a plain and on a grammar text."""
+    pattern = _power_slp(tmp_path / "p.slp", 40)
+    text = _power_slp(tmp_path / "t.slp", 10)
+    for source in (["--text-lit", "aaaa"], ["--text-slp", text]):
+        for mode in ([], ["--count"]):
+            t0 = time.perf_counter()
+            rc = cli.main(["search", "--metric", metric, "-k", str(k),
+                           "--pattern-slp", pattern, *source, *mode])
+            elapsed = time.perf_counter() - t0
+            assert rc == 0
+            assert capsys.readouterr().out == "total=0\n"
+            assert elapsed < 1.0
+    with open(pattern, "rb") as fp, open(text, "rb") as ft:
+        g_p, g_t = parse_slp(fp.read()), parse_slp(ft.read())
+    t0 = time.perf_counter()
+    assert count_occurrences_compressed(g_t, g_p, k, metric) == 0
+    assert report_occurrences_compressed(g_t, g_p, k, metric).progressions == []
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_json_mode():

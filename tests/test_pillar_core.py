@@ -335,6 +335,29 @@ class TestExactMatches:
             assert exact_matches(sb, sb.handle(0), sb.handle(1)) == sorted(hits)
 
 
+def greedy_encoding(positions) -> list[tuple[int, int, int]]:
+    """Reference canonical form: from the first uncovered position take the
+    longest constant-gap run, trying every run length."""
+    xs = sorted(set(positions))
+    out = []
+    while xs:
+        if len(xs) == 1:
+            out.append((xs[0], 1, 1))
+            break
+        d = xs[1] - xs[0]
+        run = max(c for c in range(2, len(xs) + 1)
+                  if xs[:c] == [xs[0] + i * d for i in range(c)])
+        out.append((xs[0], d, run))
+        xs = xs[run:]
+    return out
+
+
+def triples(occ: OccurrenceSet) -> list[tuple[int, int, int]]:
+    out = [(p.first, p.diff, p.count) for p in occ.progressions]
+    assert all(type(v) is int for t in out for v in t)
+    return out
+
+
 class TestOccurrenceSet:
     def test_progression_encoding(self):
         s = OccurrenceSet.from_positions([0, 2, 4, 5, 6, 20])
@@ -360,6 +383,29 @@ class TestOccurrenceSet:
                 # adjacent same-difference progressions must not be mergeable
                 if a.diff == b.diff and a.count >= 2:
                     assert b.first - a.last != a.diff
+
+    def test_greedy_canonical_form(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            pos: list[int] = []
+            x = rng.randrange(5)
+            for _ in range(rng.randrange(1, 6)):
+                if rng.random() < 0.3:  # a lone point between runs
+                    pos.append(x)
+                    x += rng.randrange(1, 10)
+                else:  # a constant-gap run, possibly touching or overlapping the next
+                    d, c = rng.randrange(1, 5), rng.randrange(2, 60)
+                    pos.extend(range(x, x + c * d, d))
+                    x += c * d + rng.randrange(-3, 5)
+            pos += rng.sample(pos, min(len(pos), rng.randrange(6)))
+            rng.shuffle(pos)
+            assert triples(OccurrenceSet.from_positions(pos)) == greedy_encoding(pos)
+            progs = [ArithmeticProgression(rng.randrange(60), rng.randrange(1, 6),
+                                           rng.randrange(12))
+                     for _ in range(rng.randrange(1, 5))]
+            union = {y for p in progs for y in p}
+            assert triples(OccurrenceSet.from_progressions(progs)) == \
+                triples(OccurrenceSet.from_positions(union)) == greedy_encoding(union)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sets(st.integers(min_value=0, max_value=200), max_size=40))
