@@ -13,6 +13,7 @@ import sys
 
 from .compressed import EDIT, HAMMING, count_occurrences_compressed, \
     report_occurrences_compressed
+from .driver import BREAK_DIV
 from .edit import analyze_ed, edit_occurrences
 from .hamming import ApproxPeriod, Breaks, RepetitiveRegions, analyze_hd, mismatch_occurrences
 from .pillar import ContractError, OccurrenceSet
@@ -92,6 +93,10 @@ def _run_search(args) -> int:
         print("pm: empty pattern is not accepted", file=sys.stderr)
         return EXIT_K
 
+    pad = args.k if args.metric == EDIT else 0
+    # When no occurrence fits, the pattern is never extracted, not even for --oracle.
+    fits = plen - pad <= (tval.length if tkind == "slp" else len(tval))
+    pattern_bytes = None
     if tkind == "slp":
         g_t = tval
         g_p = pval if pkind == "slp" else left_comb_slp(pval, g_t.params)
@@ -101,27 +106,23 @@ def _run_search(args) -> int:
             print(f"total={total}")
             return 0
         occ = report_occurrences_compressed(g_t, g_p, args.k, args.metric)
-        text_bytes = g_t.extract(0, g_t.length) if args.oracle else None
-        pattern_bytes = g_p.extract(0, g_p.length) if args.oracle else None
+    elif not fits:
+        occ = OccurrenceSet.empty()
     else:
-        text_bytes = tval
-        pad = args.k if args.metric == EDIT else 0
-        if plen - pad > len(text_bytes):  # no occurrence fits; skip extracting the pattern
-            pattern_bytes, occ = None, OccurrenceSet.empty()
-        else:
-            pattern_bytes = pval if pkind == "plain" else pval.extract(0, pval.length)
-            backend = StandardBackend([pattern_bytes, text_bytes])
-            fn = mismatch_occurrences if args.metric == HAMMING else edit_occurrences
-            occ = fn(backend, backend.handle(0), backend.handle(1), args.k)
+        pattern_bytes = pval if pkind == "plain" else pval.extract(0, pval.length)
+        backend = StandardBackend([pattern_bytes, tval])
+        fn = mismatch_occurrences if args.metric == HAMMING else edit_occurrences
+        occ = fn(backend, backend.handle(0), backend.handle(1), args.k)
 
     if args.oracle:
-        from .oracle import brute_ed_occurrences, brute_hd_occurrences
-        if pattern_bytes is None:
-            pattern_bytes = pval if pkind == "plain" else pval.extract(0, pval.length)
-        if text_bytes is None:
+        expected: set[int] = set()  # what both brute-force references give when nothing fits
+        if fits:
+            from .oracle import brute_ed_occurrences, brute_hd_occurrences
+            if pattern_bytes is None:
+                pattern_bytes = pval if pkind == "plain" else pval.extract(0, pval.length)
             text_bytes = tval if tkind == "plain" else tval.extract(0, tval.length)
-        ofn = brute_hd_occurrences if args.metric == HAMMING else brute_ed_occurrences
-        expected = ofn(pattern_bytes, text_bytes, args.k)
+            ofn = brute_hd_occurrences if args.metric == HAMMING else brute_ed_occurrences
+            expected = ofn(pattern_bytes, text_bytes, args.k)
         if set(occ.positions()) != expected:
             print("pm: oracle cross-check FAILED", file=sys.stderr)
             return EXIT_ORACLE
@@ -133,7 +134,7 @@ def _run_analyze(args) -> int:
     pkind, pval = _load_source(args, "pattern")
     data = pval if pkind == "plain" else pval.extract(0, pval.length)
     m = len(data)
-    if args.k < 1 or args.k > m or 8 * args.k > m:
+    if args.k < 1 or args.k > m or BREAK_DIV * args.k > m:
         print(f"pm: threshold {args.k} unusable for analysis of length-{m} pattern",
               file=sys.stderr)
         return EXIT_K

@@ -15,7 +15,7 @@ positions.
 from __future__ import annotations
 
 from .driver import BREAK_DIV
-from .edit import analyze_ed, edit_occurrences
+from .edit import analyze_ed, edit_occurrences, verify_ed
 from .hamming import analyze_hd, mismatch_occurrences
 from .pillar import ContractError, OccurrenceSet, extract
 from .slp import Slp
@@ -44,24 +44,26 @@ def _terminal_count(byte: int, pattern: bytes, k: int, metric: str) -> int:
 def _window_starts(g_t: Slp, sym: int, bl: int, cl: int, pattern: bytes, k: int,
                    metric: str, match, analysis) -> list[int]:
     """Starts charged to rule sym (A -> BC), local to its window: the last bl
-    bytes of gen(B) followed by the first cl bytes of gen(C)."""
+    bytes of gen(B) followed by the first cl bytes of gen(C).  For the edit
+    metric a start whose occurrence also fits inside gen(B) is B's, not A's."""
     beta = g_t.t.length[g_t.t.left[sym]]
     window = g_t.extract(beta - bl, beta + cl, root=sym)
     backend = StandardBackend([pattern, window])
     p = backend.handle(0)
     w = backend.handle(1)
     starts = [pos for pos in match(backend, p, w, k, analysis).positions() if pos < bl]
-    if metric == EDIT and starts:
-        inside = match(backend, p, extract(w, 0, bl), k, analysis)
-        drop = {pos for pos in inside.positions() if pos < bl}
-        starts = [pos for pos in starts if pos not in drop]
+    if metric == EDIT:
+        inside = extract(w, 0, bl)
+        starts = [pos for pos in starts if not verify_ed(backend, p, inside, k, (pos, pos))]
     return starts
 
 
 def _per_symbol(g_t: Slp, g_p: Slp, k: int,
-                metric: str) -> tuple[list[int], dict[int, list[int]]]:
-    """Per-symbol occurrence counts, and each rule's crossing starts local to
-    gen(A), children before parents.
+                metric: str) -> tuple[list[int], dict[int, tuple[int, list[int]]]]:
+    """Per-symbol occurrence counts, children before parents, and each
+    rule's crossing starts as (shift, local): local starts within its window,
+    shared by every rule with the same window, and the window's offset shift
+    in gen(A).
 
     With reach = m - 1 + pad, the window of A -> BC is the last
     min(|B|, reach) bytes of gen(B) and the first min(|C|, reach) bytes of
@@ -92,7 +94,7 @@ def _per_symbol(g_t: Slp, g_p: Slp, k: int,
     pre = list(range(g_t.n_symbols))
     memo: dict[tuple[int, int], list[int]] = {}
     counts = [0] * g_t.n_symbols
-    crossing: dict[int, list[int]] = {}
+    crossing: dict[int, tuple[int, list[int]]] = {}
     for sym in g_t.order:
         left, right = t.left[sym], t.right[sym]
         if left < 0:
@@ -105,17 +107,15 @@ def _per_symbol(g_t: Slp, g_p: Slp, k: int,
         bl = min(length[left], reach)
         cl = min(length[right], reach)
         if bl + cl < m - pad:  # no occurrence fits; covers bl == 0 (reach == 0)
-            starts: list[int] = []
+            local: list[int] = []
         else:
             key = (suf[left], pre[right])
             local = memo.get(key)
             if local is None:
                 local = memo[key] = _window_starts(g_t, sym, bl, cl, pattern, k, metric,
                                                     match, analysis)
-            shift = length[left] - bl
-            starts = [shift + pos for pos in local] if shift and local else local
-        crossing[sym] = starts
-        counts[sym] = counts[left] + counts[right] + len(starts)
+        crossing[sym] = (length[left] - bl, local)
+        counts[sym] = counts[left] + counts[right] + len(local)
     return counts, crossing
 
 
@@ -141,8 +141,8 @@ def report_occurrences_compressed(g_t: Slp, g_p: Slp, k: int, metric: str) -> Oc
         if t.left[sym] < 0:
             positions.append(off)
             continue
-        for pos in crossing[sym]:
-            positions.append(off + pos)
+        shift, local = crossing[sym]
+        positions.extend(off + shift + pos for pos in local)
         l = t.left[sym]
         stack.append((t.right[sym], off + t.length[l]))
         stack.append((l, off))

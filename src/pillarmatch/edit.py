@@ -17,7 +17,6 @@ blocks of starts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +26,6 @@ from .pillar import (ContractError, Fragment, OccurrenceSet, _lcp_bytes, extract
                      rotations)
 
 _NEG = -(1 << 60)
-
-
-@dataclass(frozen=True)
-class MatchEntry:
-    """An occurrence start and the cheapest alignment cost at that start."""
-    position: int
-    cost: int
 
 
 class EditGenerator:
@@ -196,25 +188,23 @@ def _min_cost_window(pb: bytes, tb: bytes, wlo: int, whi: int, k: int
 
 
 def verify_ed(backend, p: Fragment, t: Fragment, k: int,
-              interval: tuple[int, int]) -> list[MatchEntry]:
-    """Occurrence starts within the closed interval, with their best costs.
+              interval: tuple[int, int]) -> list[int]:
+    """Occurrence starts of p in t within the closed interval, ascending.
 
     Runs one independent banded alignment per candidate start; a start
-    qualifies when some prefix of t[pos:] is within k edits of p.  The two
-    fragments are materialized once and probed with byte-level lcp jumps.
+    qualifies when some prefix of t[pos:] is within k edits of p.  Only p
+    and the text those starts can reach, t[lo : hi+m+k), are materialized,
+    once, and probed with byte-level lcp jumps.
     """
     m, n = len(p), len(t)
     lo, hi = max(0, interval[0]), min(interval[1], n)
     if hi < lo:
         return []
+    end = min(n, hi + m + k)
     pb = backend.bytes_of(p)
-    tb = backend.bytes_of(t)
-    out: list[MatchEntry] = []
-    for pos in range(lo, hi + 1):
-        probe = _min_cost_window(pb, tb, pos, min(n, pos + m + k), k)
-        if probe is not None:
-            out.append(MatchEntry(pos, probe[0]))
-    return out
+    tb = backend.bytes_of(extract(t, lo, end))
+    return [pos for pos in range(lo, hi + 1)
+            if _min_cost_window(pb, tb, pos - lo, min(end, pos + m + k) - lo, k) is not None]
 
 
 # -- pattern analysis ---------------------------------------------------------
@@ -258,11 +248,14 @@ def find_a_witness(backend, k: int, q: Fragment, s: Fragment
                    ) -> tuple[int, int, int] | None:
     """A window q^inf[x:y) with delta_E(s, that window) minimal and <= k.
 
-    Returns (x, y, cost) with x normalized into [0, 2|q|), or None when s
-    is more than k edits from every substring of q^inf.  Candidate
-    rotations come from a voting pass over the first 2k+1 period-length
-    blocks of s; short periods (or short s) fall back to trying every
-    rotation.  The lowest x of least cost wins.
+    Returns (x, y, cost) with x in [0, |q|), or None when s is more than k
+    edits from every substring of q^inf.  Candidate rotations come from a
+    voting pass over the first 2k+1 period-length blocks of s: every
+    rotation within k edits lies within k of k+1 agreeing votes, so only
+    the union of those arcs is probed, in ascending order, and the least
+    cost is the same as over all rotations.  Short periods (or short s)
+    fall back to probing every rotation.  The lowest probed x of least cost
+    wins.
 
     Each rotation x is probed by _min_cost_window on the bytes of s against
     one materialized stretch of q^inf, as the window [x, x + |s| + k); the
@@ -282,7 +275,7 @@ def find_a_witness(backend, k: int, q: Fragment, s: Fragment
     """
     nq, ns = len(q), len(s)
     if nq <= 3 * k + 1 or ns < (2 * k + 1) * nq:
-        lo, hi = 0, nq - 1
+        xs = range(nq)
     else:
         votes: list[int] = []
         for i in range(2 * k + 1):
@@ -292,18 +285,15 @@ def find_a_witness(backend, k: int, q: Fragment, s: Fragment
         if len(votes) < k + 1:
             return None
         ext = votes + [v + nq for v in votes]
-        arcs: list[tuple[int, int]] = []
-        for idx in range(len(votes)):
-            if ext[idx + k] - ext[idx] <= k:
-                arcs.append((ext[idx + k] - k, ext[idx] + k))
-        if not arcs:
+        xs = sorted({x % nq for idx in range(len(votes)) if ext[idx + k] - ext[idx] <= k
+                     for x in range(ext[idx + k] - k, ext[idx] + k + 1)})
+        if not xs:
             return None
-        lo, hi = _cover_arc(arcs, nq) or (0, nq - 1)
     sb = backend.bytes_of(s)
-    qb = backend.bytes_of(q) * ((hi + ns + k) // nq + 1)
+    qb = backend.bytes_of(q) * ((ns + k) // nq + 2)  # covers [x, x + ns + k) for x < nq
     best: tuple[int, int, int] | None = None
     bound = k
-    for x in range(lo, hi + 1):
+    for x in xs:
         probe = _min_cost_window(sb, qb, x, x + ns + k, bound)
         if probe is not None:
             best = (x, x + probe[1], probe[0])
@@ -313,46 +303,11 @@ def find_a_witness(backend, k: int, q: Fragment, s: Fragment
     return best
 
 
-def _cover_arc(arcs: list[tuple[int, int]], nq: int) -> tuple[int, int] | None:
-    """Shortest interval (mod nq) covering all arcs, or None if that is all of Z_nq."""
-    marks = sorted({(a % nq, (b - a)) for a, b in arcs})
-    merged: list[tuple[int, int]] = []
-    for start, width in marks:
-        merged.append((start, start + width))
-    merged.sort()
-    # Merge on the circle by doubling.
-    doubled = merged + [(a + nq, b + nq) for a, b in merged]
-    fused: list[tuple[int, int]] = []
-    for a, b in doubled:
-        if fused and a <= fused[-1][1] + 1:
-            fused[-1] = (fused[-1][0], max(fused[-1][1], b))
-        else:
-            fused.append((a, b))
-    # Find the largest gap between consecutive fused arcs within one period.
-    best_gap, best_after = -1, None
-    for (a1, b1), (a2, b2) in zip(fused, fused[1:]):
-        if a1 >= nq:
-            break
-        gap = a2 - b1 - 1
-        if gap > best_gap:
-            best_gap, best_after = gap, (b1, a2)
-    if best_after is None or best_gap < 0:
-        return None
-    start = best_after[1] % nq
-    width = nq - 1 - best_gap
-    return (start, start + width)
-
-
-@dataclass(frozen=True)
-class LockedFragments:
-    """Disjoint fragments (offset, length) of s covering all edit errors
-    against powers of q; first is a prefix, last a suffix."""
-    items: tuple[tuple[int, int], ...]
-
-
 def locked(backend, s: Fragment, q: Fragment, d: int, k: int,
-           witness: tuple[int, int, int] | None = None) -> LockedFragments:
-    """Compute locked fragments of s with respect to q.
+           witness: tuple[int, int, int] | None = None) -> tuple[tuple[int, int], ...]:
+    """Locked fragments of s with respect to q: disjoint pieces (offset,
+    length) of s, ascending, covering all edit errors against powers of q;
+    the first is a prefix of s and the last a suffix.
 
     The optimal alignment from a witness is cut at period boundaries into
     single-period pieces carrying their error counts, then pieces merge:
@@ -365,8 +320,7 @@ def locked(backend, s: Fragment, q: Fragment, d: int, k: int,
     w = witness or find_a_witness(backend, d, q, s)
     if w is None:
         raise ContractError("locked() requires the string to be within d edits of a q-power")
-    x, _, _ = w
-    x %= nq
+    x = w[0]
     gen = EditGenerator(backend, s, q, x)
     pi, qlam = gen.next()
     while pi < ns:
@@ -415,27 +369,27 @@ def locked(backend, s: Fragment, q: Fragment, d: int, k: int,
             else:
                 stack.append((l, r))
                 break
-    return LockedFragments(tuple((l, r - l) for l, r in stack))
+    return tuple((l, r - l) for l, r in stack)
 
 
 # -- periodic machinery --------------------------------------------------------
 
 def find_relevant_fragment_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
-                              q: Fragment, witness: tuple[int, int, int] | None = None
+                              q: Fragment, witness: tuple[int, int, int]
                               ) -> tuple[Fragment | None, tuple[int, int] | None]:
     """Fragment of t holding every k-edit occurrence of p, plus a residue range.
 
     The returned interval I (closed, in fragment-local coordinates) covers
     occurrence start positions modulo |q|.  Returns (None, None) when the
     text's middle window is not close to any rotation of q.  `witness` is
-    p's witness (see _pattern_witness), computed here when not given.
+    find_a_witness(backend, d, q, p).
     """
     m, n, nq = len(p), len(t), len(q)
     if 2 * n >= 3 * m + 2 * k:
         raise ContractError("relevant-fragment scan needs n < 3m/2 + k")
     if n < m - k:
         return (None, None)
-    x = (witness or _pattern_witness(backend, p, d, q))[0]
+    x = witness[0]
     mid_lo, mid_hi = max(0, n - m + k), min(n, m - k)
     if mid_lo > mid_hi:
         raise ContractError("text too long relative to the pattern for this scan")
@@ -444,7 +398,7 @@ def find_relevant_fragment_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
         return (None, None)
     x2, y2, _ = w2
     budget = (3 * d) // 2
-    gen = EditGenerator(backend, extract(t, mid_lo, n), q, x2 % nq)
+    gen = EditGenerator(backend, extract(t, mid_lo, n), q, x2)
     lam = 0
     for _ in range(budget + 1):
         lam, _ = gen.next()
@@ -456,13 +410,6 @@ def find_relevant_fragment_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
     left = mid_hi - lam2
     center = mid_lo - left + x - x2
     return (extract(t, left, r), (center - 3 * d, center + 3 * d))
-
-
-def _pattern_witness(backend, p: Fragment, d: int, q: Fragment) -> tuple[int, int, int]:
-    w = find_a_witness(backend, d, q, p)
-    if w is None:
-        raise ContractError("pattern is not within d edits of a q-power")
-    return w
 
 
 def _arc_runs(a: int, b: int, ilo: int, ihi: int, nq: int):
@@ -484,15 +431,15 @@ def _arc_runs(a: int, b: int, ilo: int, ihi: int, nq: int):
 
 
 def synched_matches(backend, p: Fragment, t: Fragment, interval: tuple[int, int] | None,
-                    k: int, d: int, dp: int, q: Fragment,
-                    p_locked: LockedFragments | None = None) -> OccurrenceSet:
+                    k: int, dp: int, q: Fragment,
+                    p_locked: tuple[tuple[int, int], ...]) -> OccurrenceSet:
     """k-edit occurrences of p in t whose starts are ≡ interval (mod |q|).
 
     Positions near locked fragments of either string (or near the text's
     tail) are verified directly; each remaining stretch is resolved by
     verifying one period-length window and replicating the answer along
-    the period grid.  `p_locked` is locked(backend, p, q, d, k), computed
-    here when not given.
+    the period grid.  `p_locked` is locked(backend, p, q, d, k) for p's
+    distance bound d; the text's pieces are locked(backend, t, q, dp, 0).
     """
     m, n, nq = len(p), len(t), len(q)
     if interval is None:
@@ -503,12 +450,11 @@ def synched_matches(backend, p: Fragment, t: Fragment, interval: tuple[int, int]
     ilo, ihi = interval
     if ihi - ilo + 1 > nq:
         ilo, ihi = 0, nq - 1
-    lp = (p_locked or locked(backend, p, q, d, k)).items
-    lt = locked(backend, t, q, dp, 0).items
+    t_locked = locked(backend, t, q, dp, 0)
     spans: list[tuple[int, int]] = [(n - m - k, n - m + k)]
-    for poff, pln in lp:
+    for poff, pln in p_locked:
         pl, pr = poff, poff + pln
-        for toff, tln in lt:
+        for toff, tln in t_locked:
             tl, tr = toff, toff + tln
             a, b = tl - pr - k + 1, tr - pl + k - 1
             if a <= b:
@@ -528,7 +474,7 @@ def synched_matches(backend, p: Fragment, t: Fragment, interval: tuple[int, int]
     positions: list[int] = []
     for a, b in marked:
         for lo, hi in _arc_runs(a, b, ilo, ihi, nq):
-            positions.extend(e.position for e in verify_ed(backend, p, t, k, (lo, hi)))
+            positions.extend(verify_ed(backend, p, t, k, (lo, hi)))
     # Unmarked stretches: one period window decides the whole stretch.
     cursor = 0
     gaps: list[tuple[int, int]] = []
@@ -541,8 +487,8 @@ def synched_matches(backend, p: Fragment, t: Fragment, interval: tuple[int, int]
     for a, b in gaps:
         probe_hi = min(b, a + nq - 1)
         for lo, hi in _arc_runs(a, probe_hi, ilo, ihi, nq):
-            for entry in verify_ed(backend, p, t, k, (lo, hi)):
-                positions.extend(range(entry.position, b + 1, nq))
+            for pos in verify_ed(backend, p, t, k, (lo, hi)):
+                positions.extend(range(pos, b + 1, nq))
     return OccurrenceSet.from_positions(positions)
 
 
@@ -558,16 +504,19 @@ def periodic_matches_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
         return OccurrenceSet.empty()
     # The pattern side is the same in every block: one witness, and locked
     # fragments once some block needs them.
-    witness = _pattern_witness(backend, p, d, q)
-    p_locked: LockedFragments | None = None
+    witness = find_a_witness(backend, d, q, p)
+    if witness is None:
+        raise ContractError("pattern is not within d edits of a q-power")
+    p_locked: tuple[tuple[int, int], ...] | None = None
 
     def solve(block: Fragment):
         nonlocal p_locked
         frag, interval = find_relevant_fragment_ed(backend, p, block, k, d, q, witness)
         if not frag:
             return block, []
-        p_locked = p_locked or locked(backend, p, q, d, k, witness=witness)
-        return frag, synched_matches(backend, p, frag, interval, k, d, 3 * d, q,
+        if p_locked is None:
+            p_locked = locked(backend, p, q, d, k, witness)
+        return frag, synched_matches(backend, p, frag, interval, k, 3 * d, q,
                                      p_locked).progressions
 
     return per_block(t, m, k, solve)
@@ -576,10 +525,7 @@ def periodic_matches_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
 # -- marking drivers ------------------------------------------------------------
 
 def _verified_ed(backend, p: Fragment, t: Fragment, k: int, lo: int, hi: int) -> list[int]:
-    # Hand verify_ed only the window the starts in [lo, hi] can reach, as it
-    # materializes its text.
-    window = extract(t, lo, min(len(t), hi + len(p) + k))
-    return [lo + e.position for e in verify_ed(backend, p, window, k, (0, hi - lo))]
+    return verify_ed(backend, p, t, k, (lo, hi))
 
 
 def break_matches_ed(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int) -> OccurrenceSet:

@@ -75,21 +75,12 @@ class MismatchGeneratorR:
             return None
         return self._n - 1 - pos
 
-    def __iter__(self):
-        while (pos := self.next()) is not None:
-            yield pos
-
-
-def mism_generator(backend, s: Fragment, q: Fragment, rotation: int = 0) -> MismatchGenerator:
-    """Generator over Mis(s, rot^rotation(q)*)."""
-    if len(q) < 1:
-        raise ContractError("mismatch generator needs a nonempty period")
-    return MismatchGenerator(backend, s, q, (-rotation) % len(q))
-
 
 def mismatches(backend, s: Fragment, q: Fragment, rotation: int = 0) -> list[int]:
-    """All of Mis(s, rot^rotation(q)*), materialized."""
-    return list(mism_generator(backend, s, q, rotation))
+    """All of Mis(s, rot^rotation(q)*), ascending."""
+    if len(q) < 1:
+        raise ContractError("mismatch generator needs a nonempty period")
+    return list(MismatchGenerator(backend, s, q, (-rotation) % len(q)))
 
 
 def verify_hd(backend, s: Fragment, t: Fragment, k: int) -> bool:
@@ -232,19 +223,17 @@ def find_relevant_fragment_hd(backend, p: Fragment, t: Fragment, d: int, q: Frag
 
 
 def distances_rle(backend, p: Fragment, t: Fragment, q: Fragment,
-                  p_mismatches: list[tuple[int, int]] | None = None) -> list[tuple[int, int]]:
+                  p_mismatches: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Run-length encoded h_j = delta_H(t[j|q| : j|q|+m), p), j = 0..(n-m)/|q|.
 
     One weighted-event sweep: each text mismatch opens/closes a sliding
     window event, and each (text, pattern) mismatch pair cancels marks where
-    the two mismatches coincide.  `p_mismatches` is _pattern_mismatches(p,
-    q), computed here when not given.
+    the two mismatches coincide.  `p_mismatches` is
+    _pattern_mismatches(backend, p, q).
     """
     m, n, nq = len(p), len(t), len(q)
     if n < m:
         return []
-    if p_mismatches is None:
-        p_mismatches = _pattern_mismatches(backend, p, q)
     mis_t = mismatches(backend, t, q)
     events: list[tuple[int, int]] = []
     for tau in mis_t:

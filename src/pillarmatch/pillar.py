@@ -246,15 +246,12 @@ def _find_all(pat: bytes, txt: bytes) -> list[int]:
 
 
 def _progression_from_sorted(hits: list[int]) -> ArithmeticProgression:
-    if not hits:
-        return EMPTY_PROGRESSION
-    if len(hits) == 1:
-        return ArithmeticProgression(hits[0], 1, 1)
-    d = hits[1] - hits[0]
-    for a, b in zip(hits, hits[1:]):
-        if b - a != d:
-            raise AssertionError("exact occurrences did not form a progression")
-    return ArithmeticProgression(hits[0], d, len(hits))
+    """Ascending distinct hits as one progression, as exact occurrences of a
+    string no more than twice as long as the pattern always are."""
+    progs = _encode(hits)
+    if len(progs) > 1:
+        raise AssertionError("exact occurrences did not form a progression")
+    return progs[0] if progs else EMPTY_PROGRESSION
 
 
 def exact_matches(backend, p: Fragment, t: Fragment) -> list[int]:

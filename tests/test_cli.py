@@ -100,6 +100,25 @@ def test_huge_pattern_short_text(tmp_path, capsys, metric, k):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("metric", ["hamming", "edit"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_oracle_huge_pattern_short_text(tmp_path, capsys, metric, k):
+    """--oracle takes the expected set as empty when the pattern cannot fit,
+    without extracting it.  The pattern is a^(2^22), not a^(2^40) as above,
+    so that extracting it fails the time bound (2.7 s to over a minute)
+    instead of running for days."""
+    pattern = _power_slp(tmp_path / "p.slp", 22)
+    text = _power_slp(tmp_path / "t.slp", 10)
+    for source in (["--text-lit", "aaaa"], ["--text-slp", text]):
+        t0 = time.perf_counter()
+        rc = cli.main(["search", "--metric", metric, "-k", str(k),
+                       "--pattern-slp", pattern, *source, "--oracle"])
+        elapsed = time.perf_counter() - t0
+        assert rc == 0
+        assert capsys.readouterr().out == "total=0\n"
+        assert elapsed < 1.0
+
+
 def test_json_mode():
     res = run_pm("search", "--metric", "hamming", "-k", "1",
                  "--pattern-lit", "aacc", "--text-lit", "aaaccc", "--json")

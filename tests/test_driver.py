@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from pillarmatch import driver
-from pillarmatch.driver import Breaks, RepetitiveRegions, blocks
+from pillarmatch import driver, edit, hamming
+from pillarmatch.driver import ApproxPeriod, Breaks, RepetitiveRegions, blocks
 from pillarmatch.edit import analyze_ed, edit_occurrences
 from pillarmatch.hamming import analyze_hd, mismatch_occurrences
 from pillarmatch.oracle import brute_ed_occurrences, brute_hd_occurrences
@@ -118,3 +118,47 @@ def test_breaks_scan_once_per_anchor(metric, ratio, monkeypatch):
     monkeypatch.setattr(driver, "exact_matches", counting)
     match(b, b.handle(0), b.handle(1), k, analysis)
     assert calls == [len(t)] * (2 * k)
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_long_period_route_against_oracle(metric, monkeypatch):
+    # |q| = 50 > 6d + 1 with d = 8k: the pattern's and the text's witnesses
+    # come from the rotation vote, and the synchronized matcher walks a
+    # residue interval narrower than the period.
+    match, analyze, brute, _ = METRICS[metric]
+    rng = random.Random(1)
+    nq, k = 50, 1
+    while True:
+        q = bytes(rng.choice(b"ab") for _ in range(nq))
+        if (q + q).find(q, 1) == nq:
+            break
+    m = 128 * k * nq
+    p = bytearray(q * (m // nq))
+    p[rng.randrange(m)] ^= 3
+    t = bytearray(q * (2 * m // nq))
+    at = nq * rng.randrange(m // nq)
+    t[at:at + m] = p
+    t[rng.randrange(2 * m)] ^= 3
+    p, t = bytes(p), bytes(t)
+    b = StandardBackend([p, t])
+    assert isinstance(analyze(b, b.handle(0), k), ApproxPeriod)
+    module = hamming if metric == "hamming" else edit
+    votes, widths = [], []
+    rotations, arc_runs = module.rotations, edit._arc_runs
+
+    def counting_rotations(backend, s, u):
+        votes.append(len(s))
+        return rotations(backend, s, u)
+
+    def counting_arc_runs(a, b, ilo, ihi, period):
+        widths.append(ihi - ilo)
+        return arc_runs(a, b, ilo, ihi, period)
+
+    monkeypatch.setattr(module, "rotations", counting_rotations)
+    monkeypatch.setattr(edit, "_arc_runs", counting_arc_runs)
+    got = match(b, b.handle(0), b.handle(1), k).positions()
+    assert set(got) == brute(p, t, k)
+    assert got == ([at] if metric == "hamming" else [at - 1, at, at + 1])
+    assert votes and set(votes) == {nq}
+    if metric == "edit":
+        assert widths and max(widths) < nq - 1

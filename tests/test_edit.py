@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pillarmatch import ContractError, extract
-from pillarmatch.edit import (EditGenerator, EditGeneratorR, analyze_ed,
+from pillarmatch.edit import (EditGenerator, EditGeneratorR, _min_cost_window, analyze_ed,
                               break_matches_ed, edit_occurrences, find_a_witness,
                               find_relevant_fragment_ed, locked, periodic_matches_ed,
                               repetitive_matches_ed, synched_matches, verify_ed)
@@ -153,15 +153,16 @@ class TestEditGenerator:
 class TestVerifyEd:
     def test_examples(self):
         b = be(b"abc", b"xabc")
-        got = verify_ed(b, b.handle(0), b.handle(1), 1, (0, 1))
-        assert [(e.position, e.cost) for e in got] == [(0, 1), (1, 0)]
+        assert verify_ed(b, b.handle(0), b.handle(1), 1, (0, 1)) == [0, 1]
+        assert [_min_cost_window(b"abc", b"xabc", pos, 4, 1)[0] for pos in (0, 1)] == [1, 0]
         b = be(b"abc", b"abc")
-        got = verify_ed(b, b.handle(0), b.handle(1), 0, (0, 0))
-        assert [(e.position, e.cost) for e in got] == [(0, 0)]
+        assert verify_ed(b, b.handle(0), b.handle(1), 0, (0, 0)) == [0]
         b = be(b"abc", b"xyz")
         assert verify_ed(b, b.handle(0), b.handle(1), 1, (0, 0)) == []
 
     def test_against_oracle(self):
+        # Random closed intervals, some reaching past either end of t; the
+        # starts come back ascending in t's coordinates.
         rng = random.Random(54)
         for _ in range(200):
             n = rng.randrange(0, 30)
@@ -171,13 +172,23 @@ class TestVerifyEd:
             p = bytes(rng.randrange(2) + 97 for _ in range(m))
             b = be(p, t + b"#")
             ht = extract(b.handle(1), 0, n)
-            got = verify_ed(b, b.handle(0), ht, k, (0, n))
-            want = brute_ed_occurrences(p, t, k)
-            assert {e.position for e in got} == want
-            for e in got:
-                best = min(edit_distance(p, t[e.position:r])
-                           for r in range(e.position, n + 1))
-                assert e.cost == best
+            lo = rng.randrange(-2, n + 2)
+            hi = rng.randrange(lo - 1, n + 3)
+            got = verify_ed(b, b.handle(0), ht, k, (lo, hi))
+            want = {pos for pos in brute_ed_occurrences(p, t, k) if lo <= pos <= hi}
+            assert got == sorted(want)
+            for pos in got:
+                best = min(edit_distance(p, t[pos:r]) for r in range(pos, n + 1))
+                assert _min_cost_window(p, t, pos, min(n, pos + m + k), k)[0] == best
+
+    def test_materializes_only_reachable_text(self):
+        t = b"ab" * 500
+        b = be(b"abab", t)
+        seen: list[int] = []
+        bytes_of = b.bytes_of
+        b.bytes_of = lambda f: seen.append(len(f)) or bytes_of(f)
+        assert verify_ed(b, b.handle(0), b.handle(1), 1, (100, 103)) == [100, 101, 102, 103]
+        assert sorted(seen) == [4, 103 + 4 + 1 - 100]
 
 
 class TestAnalyzeEd:
@@ -239,10 +250,10 @@ class TestFindAWitness:
     def test_cost_is_exact_edl(self):
         # The first 200 instances have short periods; the rest have periods
         # up to 12, k in 1..2 and at least 2k+2 copies of the period, so that
-        # rotations are voted for and narrowed by _cover_arc (nq > 3k+1),
-        # where a window may start in [nq, 2nq).
+        # rotations are voted for and only the voted arcs are probed
+        # (nq > 3k+1).  Either way the window starts in [0, nq).
         rng = random.Random(56)
-        voted = wrapped = 0
+        voted = 0
         for trial in range(500):
             wide = trial >= 200
             nq = rng.randrange(5, 13) if wide else rng.randrange(1, 5)
@@ -275,15 +286,15 @@ class TestFindAWitness:
                 x, y, cost = w
                 assert cost == true
                 assert edit_distance(s, expand(q, y)[x:y]) == cost
-                wrapped += x >= nq
+                assert 0 <= x < len(q)
             else:
                 assert w is None
-        assert voted >= 50 and wrapped >= 10
+        assert voted >= 50
 
 
 def piece_costs(b, s, q, d: int, lf) -> list[int]:
     """Each locked piece's distance to q^inf (d + 1 when beyond d)."""
-    ws = [find_a_witness(b, d, q, extract(s, off, off + ln)) for off, ln in lf.items]
+    ws = [find_a_witness(b, d, q, extract(s, off, off + ln)) for off, ln in lf]
     return [d + 1 if w is None else w[2] for w in ws]
 
 
@@ -292,15 +303,15 @@ class TestLocked:
         b = be(b"aaaa", b"a")
         lf = locked(b, b.handle(0), b.handle(1), 1, 0)
         assert sum(piece_costs(b, b.handle(0), b.handle(1), 1, lf)) == 0
-        assert lf.items[0][0] == 0
-        off, ln = lf.items[-1]
+        assert lf[0][0] == 0
+        off, ln = lf[-1]
         assert off + ln == 4
 
     def test_one_error(self):
         b = be(b"aabaa", b"a")
         lf = locked(b, b.handle(0), b.handle(1), 1, 0)
         assert sum(piece_costs(b, b.handle(0), b.handle(1), 1, lf)) == 1
-        assert sum(ln for _, ln in lf.items) <= 8
+        assert sum(ln for _, ln in lf) <= 8
 
     def test_periodic_two(self):
         b = be(b"ababab", b"ab")
@@ -335,53 +346,63 @@ class TestLocked:
             lf = locked(b, b.handle(0), b.handle(1), d, k)
             costs = piece_costs(b, b.handle(0), b.handle(1), d, lf)
             end = 0
-            for off, ln in lf.items:
+            for off, ln in lf:
                 assert off >= end
                 end = off + ln
-            assert lf.items[0][0] == 0
-            assert lf.items[-1][0] + lf.items[-1][1] == len(s)
+            assert lf[0][0] == 0
+            assert lf[-1][0] + lf[-1][1] == len(s)
             assert sum(costs) == true
             for c in costs[1:-1]:
                 assert c > 0
-            assert sum(ln for _, ln in lf.items) <= (5 * nq + 1) * true + 2 * (k + 1) * nq
+            assert sum(ln for _, ln in lf) <= (5 * nq + 1) * true + 2 * (k + 1) * nq
 
 
 class TestSynchedMatches:
     def test_small_periodic(self):
         b = be(b"a" * 8, b"a" * 12, b"a")
-        occ = synched_matches(b, b.handle(0), b.handle(1), (0, 0), 0, 1, 1, b.handle(2))
+        occ = synched_matches(b, b.handle(0), b.handle(1), (0, 0), 0, 1, b.handle(2),
+                              locked(b, b.handle(0), b.handle(2), 1, 0))
         assert occ.positions() == [0, 1, 2, 3, 4]
 
     def test_identity(self):
         b = be(b"abaabaaba", b"abaabaaba", b"aba")
-        occ = synched_matches(b, b.handle(0), b.handle(1), (0, 0), 0, 1, 1, b.handle(2))
+        occ = synched_matches(b, b.handle(0), b.handle(1), (0, 0), 0, 1, b.handle(2),
+                              locked(b, b.handle(0), b.handle(2), 1, 0))
         assert 0 in occ
 
     def test_empty_interval(self):
         b = be(b"a" * 8, b"a" * 12, b"a")
-        occ = synched_matches(b, b.handle(0), b.handle(1), None, 0, 1, 1, b.handle(2))
+        occ = synched_matches(b, b.handle(0), b.handle(1), None, 0, 1, b.handle(2),
+                              locked(b, b.handle(0), b.handle(2), 1, 0))
         assert occ.positions() == []
+
+
+def relevant(b: StandardBackend):
+    """find_relevant_fragment_ed with k=1, d=2: handles 0, 1, 2 are p, t, q."""
+    p, q = b.handle(0), b.handle(2)
+    return find_relevant_fragment_ed(b, p, b.handle(1), 1, 2, q, find_a_witness(b, 2, q, p))
 
 
 class TestRelevantFragmentEd:
     def test_periodic(self):
         b = be(b"a" * 32, b"a" * 40, b"a")
-        frag, interval = find_relevant_fragment_ed(b, b.handle(0), b.handle(1), 1, 2, b.handle(2))
+        frag, interval = relevant(b)
         assert (frag.start, frag.end) == (0, 40)
         assert interval is not None and interval[1] - interval[0] == 12  # 6d
 
     def test_no_witness(self):
         b = be(b"a" * 32, b"b" * 40, b"a")
-        frag, interval = find_relevant_fragment_ed(b, b.handle(0), b.handle(1), 1, 2, b.handle(2))
+        frag, interval = relevant(b)
         assert frag is None and interval is None
 
     def test_unit_period_escape(self):
         p = b"a" * 30 + b"ba"
         t = b"a" * 44
         b = be(p, t, b"a")
-        frag, interval = find_relevant_fragment_ed(b, b.handle(0), b.handle(1), 1, 2, b.handle(2))
+        frag, interval = relevant(b)
         assert frag is not None
-        occ = synched_matches(b, b.handle(0), frag, interval, 1, 2, 6, b.handle(2))
+        occ = synched_matches(b, b.handle(0), frag, interval, 1, 6, b.handle(2),
+                              locked(b, b.handle(0), b.handle(2), 2, 1))
         shifted = {frag.start - b.handle(1).start + pos for pos in occ.positions()}
         assert shifted == brute_ed_occurrences(p, t, 1)
 

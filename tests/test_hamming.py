@@ -3,11 +3,11 @@ import random
 import pytest
 
 from pillarmatch import ContractError, extract
-from pillarmatch.hamming import (ApproxPeriod, Breaks, RepetitiveRegions, analyze_hd,
-                                 break_matches_hd, distances_rle,
-                                 find_relevant_fragment_hd, find_rotation,
-                                 mism_generator, mismatch_occurrences, mismatches,
-                                 periodic_matches_hd, repetitive_matches_hd, verify_hd)
+from pillarmatch.hamming import (ApproxPeriod, Breaks, MismatchGenerator, RepetitiveRegions,
+                                 _pattern_mismatches, analyze_hd, break_matches_hd,
+                                 distances_rle, find_relevant_fragment_hd, find_rotation,
+                                 mismatch_occurrences, mismatches, periodic_matches_hd,
+                                 repetitive_matches_hd, verify_hd)
 from pillarmatch.oracle import brute_hd_occurrences
 from pillarmatch.standard import StandardBackend
 
@@ -20,6 +20,12 @@ def hd_vs_power(s: bytes, q: bytes, offset: int = 0) -> int:
     return sum(1 for i, c in enumerate(s) if c != q[(offset + i) % len(q)])
 
 
+def rle(b: StandardBackend) -> list[tuple[int, int]]:
+    """distances_rle of handles 0, 1, 2 as pattern, text and period."""
+    p, t, q = b.handle(0), b.handle(1), b.handle(2)
+    return distances_rle(b, p, t, q, _pattern_mismatches(b, p, q))
+
+
 def naive_per(s: bytes) -> int:
     for per in range(1, len(s) + 1):
         if all(s[i] == s[i + per] for i in range(len(s) - per)):
@@ -30,13 +36,13 @@ def naive_per(s: bytes) -> int:
 class TestMismatchGenerator:
     def test_zero_mismatches(self):
         b = be(b"abcabc", b"abc")
-        g = mism_generator(b, b.handle(0), b.handle(1))
+        g = MismatchGenerator(b, b.handle(0), b.handle(1))
         assert g.next() is None
         assert g.next() is None  # stays exhausted
 
     def test_single(self):
         b = be(b"abxabc", b"abc")
-        g = mism_generator(b, b.handle(0), b.handle(1))
+        g = MismatchGenerator(b, b.handle(0), b.handle(1))
         assert g.next() == 2
         assert g.next() is None
 
@@ -198,11 +204,11 @@ class TestRelevantFragment:
 class TestDistancesRLE:
     def test_examples(self):
         b = be(b"aaaa", b"aaaaaa", b"a")
-        assert distances_rle(b, b.handle(0), b.handle(1), b.handle(2)) == [(0, 3)]
+        assert rle(b) == [(0, 3)]
         b = be(b"aaaa", b"aaabaa", b"a")
-        assert distances_rle(b, b.handle(0), b.handle(1), b.handle(2)) == [(1, 3)]
+        assert rle(b) == [(1, 3)]
         b = be(b"abab", b"ababab", b"ab")
-        assert distances_rle(b, b.handle(0), b.handle(1), b.handle(2)) == [(0, 2)]
+        assert rle(b) == [(0, 2)]
 
     def test_against_direct(self):
         rng = random.Random(44)
@@ -219,7 +225,7 @@ class TestDistancesRLE:
                 t[rng.randrange(n)] = rng.randrange(3) + 97
             p, t = bytes(p), bytes(t)
             b = be(p, t, q)
-            runs = distances_rle(b, b.handle(0), b.handle(1), b.handle(2))
+            runs = rle(b)
             for value, count in runs:
                 assert count >= 1
             for (v1, _), (v2, _) in zip(runs, runs[1:]):

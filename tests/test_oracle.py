@@ -18,6 +18,22 @@ def test_ed_examples():
     assert brute_ed_occurrences(b"a", b"", 1) == {0}
 
 
+def test_nothing_fits_gives_empty_set():
+    # m - pad > n (pad = k for edit, 0 for Hamming) leaves no occurrence; at
+    # m - pad == n one can still occur.  `pm search --oracle` relies on this
+    # to skip extracting a pattern that cannot fit.
+    rng = random.Random(73)
+    for _ in range(300):
+        n = rng.randrange(0, 12)
+        k = rng.randrange(0, 4)
+        p = bytes(rng.randrange(2) + 97 for _ in range(n + k + 1 + rng.randrange(3)))
+        t = bytes(rng.randrange(2) + 97 for _ in range(n))
+        assert brute_ed_occurrences(p, t, k) == set()
+        assert brute_hd_occurrences(p[:n + 1 + rng.randrange(3)], t, k) == set()
+    assert brute_ed_occurrences(b"abc", b"a", 2) == {0}
+    assert brute_hd_occurrences(b"abc", b"abd", 1) == {0}
+
+
 def test_ed_k0_equals_exact():
     rng = random.Random(71)
     for _ in range(300):
