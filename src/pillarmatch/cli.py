@@ -132,13 +132,12 @@ def _run_search(args) -> int:
 
 def _run_analyze(args) -> int:
     pkind, pval = _load_source(args, "pattern")
-    data = pval if pkind == "plain" else pval.extract(0, pval.length)
-    m = len(data)
-    if args.k < 1 or args.k > m or BREAK_DIV * args.k > m:
+    m = len(pval) if pkind == "plain" else pval.length
+    if args.k < 1 or BREAK_DIV * args.k > m:  # checked before a grammar is extracted
         print(f"pm: threshold {args.k} unusable for analysis of length-{m} pattern",
               file=sys.stderr)
         return EXIT_K
-    backend = StandardBackend([data])
+    backend = StandardBackend([pval if pkind == "plain" else pval.extract(0, m)])
     fn = analyze_hd if args.metric == HAMMING else analyze_ed
     result = fn(backend, backend.handle(0), args.k)
     print(f"m={m} k={args.k} metric={args.metric}")

@@ -22,8 +22,8 @@ import numpy as np
 
 from .driver import (DENSITY, ApproxPeriod, Breaks, PatternAnalysis, RepetitiveRegions,
                      analyze, mark_breaks, mark_regions, occurrences, per_block)
-from .pillar import (ContractError, Fragment, OccurrenceSet, _lcp_bytes, extract, lcp_power,
-                     rotations)
+from .pillar import (ContractError, Fragment, Mirror, OccurrenceSet, _lcp_bytes, extract, flip,
+                     lcp_power, rotations)
 
 _NEG = -(1 << 60)
 
@@ -130,9 +130,7 @@ class EditGeneratorR:
     power ends."""
 
     def __init__(self, backend, s: Fragment, q: Fragment, end_offset: int = 0):
-        rs = backend.reversed_fragment(s)
-        rq = backend.reversed_fragment(q)
-        self._fwd = EditGenerator(backend, rs, rq, (-end_offset) % len(q))
+        self._fwd = EditGenerator(Mirror(backend), flip(s), flip(q), (-end_offset) % len(q))
 
     def next(self) -> tuple[int, int]:
         return self._fwd.next()

@@ -17,8 +17,8 @@ import numpy as np
 
 from .driver import (DENSITY, ApproxPeriod, Breaks, PatternAnalysis, RepetitiveRegions,
                      analyze, mark_breaks, mark_regions, occurrences, per_block)
-from .pillar import (ArithmeticProgression, ContractError, Fragment, OccurrenceSet,
-                     equal, extract, lcp_power, rotations)
+from .pillar import (ArithmeticProgression, ContractError, Fragment, Mirror, OccurrenceSet,
+                     equal, extract, flip, lcp_power, rotations)
 
 
 class MismatchGenerator:
@@ -64,10 +64,8 @@ class MismatchGeneratorR:
     """
 
     def __init__(self, backend, s: Fragment, q: Fragment, end_offset: int = 0):
-        rs = backend.reversed_fragment(s)
-        rq = backend.reversed_fragment(q)
         self._n = len(s)
-        self._fwd = MismatchGenerator(backend, rs, rq, (-end_offset) % len(q))
+        self._fwd = MismatchGenerator(Mirror(backend), flip(s), flip(q), (-end_offset) % len(q))
 
     def next(self) -> int | None:
         pos = self._fwd.next()

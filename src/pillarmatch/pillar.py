@@ -3,9 +3,10 @@
 Every backend (plain in-memory, grammar-compressed) exposes the same small
 set of operations on fragment handles: extract, lcp, lcp_r, ipm, access,
 length.  Everything else in this package -- periodicity checks, rotation
-tests, infinite-power lcp queries, exact matching, mismatch/edit
-generators -- is written against that interface and therefore runs
-unchanged over any backend.
+tests, power lcp queries, exact matching, mismatch/edit generators -- is
+written against that interface and therefore runs unchanged over any
+backend.  Right-to-left code is forward code run on `Mirror(backend)` over
+`flip`ped fragments, whose lcp is the backend's lcp_r.
 """
 
 from __future__ import annotations
@@ -159,6 +160,40 @@ def _lcp_bytes(a: bytes, b: bytes, i: int, j: int, cap: int) -> int:
     return lo
 
 
+def _gallop(eq, cap: int) -> int:
+    """Largest l <= cap with eq(l), for eq true up to some length >= 1 and
+    false past it: doubling steps, then binary search inside the last one."""
+    lo, step = 1, 1
+    while lo + step <= cap and eq(lo + step):
+        lo += step
+        step *= 2
+    hi = min(cap, lo + step - 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if eq(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def flip(f: Fragment) -> Fragment:
+    """f read right to left, as a handle in mirrored coordinates: its
+    sub-fragment [l, r) is f's [|f| - r, |f| - l), and flip undoes itself."""
+    return Fragment(f.owner, -f.end, -f.start)
+
+
+class Mirror:
+    """A backend seen in the mirror: lcp of flipped fragments is the backend's
+    lcp_r of the originals, the lcp of the two reversed strings."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def lcp(self, a: Fragment, b: Fragment) -> int:
+        return self.backend.lcp_r(flip(a), flip(b))
+
+
 # ---------------------------------------------------------------------------
 # Toolbox operations built on the primitive interface.
 # ---------------------------------------------------------------------------
@@ -168,24 +203,13 @@ def equal(backend, s: Fragment, t: Fragment) -> bool:
     return len(s) == len(t) and backend.lcp(s, t) == len(s)
 
 
-def lcp_infinite(backend, s: Fragment, q: Fragment) -> int:
-    """Length of the longest common prefix of s and the infinite power q^inf.
-
-    Two lcp probes suffice: one against q itself, and, if all of q matched,
-    one of s against s shifted by |q| (self-overlap carries the periodic
-    extension).
-    """
-    nq = len(q)
-    if len(s) == 0:
-        return 0
-    a = backend.lcp(s, q)
-    if a < nq or a == len(s):
-        return a
-    return nq + backend.lcp(extract(s, nq, len(s)), s)
-
-
 def lcp_power(backend, s: Fragment, q: Fragment, l: int, r: int) -> int:
-    """lcp(s, q^inf[l:r)): one in-q probe, then the periodic extension, capped."""
+    """lcp(s, q^inf[l:r)): one in-q probe, then the periodic extension, capped.
+
+    Past the partial first copy of q, two probes suffice: the rest of s
+    against q itself and, if all of q matched, the rest of s against itself
+    shifted by |q| (self-overlap carries the periodic extension).
+    """
     if len(q) == 0:
         raise ContractError("lcp_power needs a nonempty period string")
     cap = min(r - l, len(s))
@@ -196,8 +220,11 @@ def lcp_power(backend, s: Fragment, q: Fragment, l: int, r: int) -> int:
     a = backend.lcp(s, extract(q, off, nq))
     if a < nq - off:
         return min(a, cap)
-    rest = lcp_infinite(backend, extract(s, a, len(s)), q)
-    return min(a + rest, cap)
+    rest = extract(s, a, len(s))
+    b = backend.lcp(rest, q) if len(rest) else 0
+    if b == nq < len(rest):
+        b += backend.lcp(extract(rest, nq, len(rest)), rest)
+    return min(a + b, cap)
 
 
 def period(backend, s: Fragment) -> int | None:

@@ -4,19 +4,19 @@ fragment-interface backend over them.
 A grammar is a list of symbols, each either a single byte or a pair of
 earlier/later symbols, in Chomsky normal form after loading; expansion
 lengths are precomputed bottom-up.  `SlpBackend` adds Karp-Rabin
-fingerprints of every symbol of its grammars and of their reverses: a prefix
-fingerprint of a generated string is then one root-to-position descent, and
-lcp queries between arbitrary fragments (even of different grammars) are
-answered by doubling + binary search over fingerprint comparisons, with the
-final boundary character checked by direct access.
+fingerprints of every symbol of its grammars: a prefix fingerprint of a
+generated string is then one root-to-position descent, the fingerprint of
+any span is the difference of two prefix fingerprints, and lcp and lcp_r
+queries between arbitrary fragments (even of different grammars) are
+answered by doubling + binary search over span comparisons, with the final
+boundary character checked by direct access.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
-from .pillar import ArithmeticProgression, ContractError, Fragment, _find_all, \
+from .pillar import ArithmeticProgression, ContractError, Fragment, _find_all, _gallop, \
     _progression_from_sorted
 
 MAX_LEN = (1 << 63) - 1
@@ -24,6 +24,7 @@ _FIELD = (1 << 61) - 1
 # Default pair of fingerprint bases in [256, _FIELD - 1); the grammars of one
 # backend must share their bases.
 FINGERPRINT_BASES = (238539297488483607, 204575138912540379)
+_COLLISION = "fingerprint collision detected; build the grammars with other bases (Slp params)"
 
 
 class SlpFormatError(ValueError):
@@ -63,7 +64,6 @@ class Slp:
         self.t = _SymbolTables(left, right, byte, self._lengths(left, right, self.order))
         self.n_symbols = len(left)
         self.length = self.t.length[start]
-        self._rev: Slp | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -109,16 +109,6 @@ class Slp:
         return length
 
     # -- queries --------------------------------------------------------------
-
-    def reversed(self) -> "Slp":
-        """The grammar of the reversed string: every rule's children swapped."""
-        if self._rev is None:
-            t = self.t
-            rev = copy.copy(self)
-            rev.t = _SymbolTables(t.right, t.left, t.byte, t.length)
-            rev._rev = self
-            self._rev = rev
-        return self._rev
 
     def access(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -309,11 +299,11 @@ def format_slp(g: Slp) -> bytes:
 class SlpBackend:
     """Fragment interface over the strings generated by one or more SLPs.
 
-    Owner 2i is the i-th grammar and owner 2i+1 its reverse.  For each owner
-    the backend holds, per symbol a, the fingerprint fp[a] of gen(a) -- the
-    string read as a number in base b modulo the prime 2^61 - 1, for both
-    bases b of the grammars' params -- and pw[a] = b^|gen(a)|.  Fingerprints
-    only speed up lcp; each lcp is checked at its boundary character.
+    Owner i is the i-th grammar.  For each owner the backend holds, per
+    symbol a, the fingerprint fp[a] of gen(a) -- the string read as a number
+    in base b modulo the prime 2^61 - 1, for both bases b of the grammars'
+    params -- and pw[a] = b^|gen(a)|.  Fingerprints only speed up lcp and
+    lcp_r; each answer is checked at its boundary character.
     """
 
     def __init__(self, slps: list[Slp]):
@@ -323,21 +313,16 @@ class SlpBackend:
         for g in slps:
             if g.params != slps[0].params:
                 raise ContractError("all grammars in a backend must share fingerprint bases")
-            for side in (g, g.reversed()):
-                fp, pw = self._fingerprint_tables(side)
-                self._slps.append(side)
-                self._fp.append(fp)
-                self._pw.append(pw)
+            fp, pw = self._fingerprint_tables(g)
+            self._slps.append(g)
+            self._fp.append(fp)
+            self._pw.append(pw)
 
     def handle(self, index: int) -> Fragment:
-        return Fragment(2 * index, 0, self._slps[2 * index].length)
+        return Fragment(index, 0, self._slps[index].length)
 
     def _slp(self, f: Fragment) -> Slp:
         return self._slps[f.owner]
-
-    def reversed_fragment(self, f: Fragment) -> Fragment:
-        n = self._slps[f.owner].length
-        return Fragment(f.owner ^ 1, n - f.end, n - f.start)
 
     def bytes_of(self, f: Fragment) -> bytes:
         return self._slp(f).extract(f.start, f.end)
@@ -346,10 +331,36 @@ class SlpBackend:
         return self._slp(f).access(f.start + i)
 
     def lcp(self, a: Fragment, b: Fragment) -> int:
-        return self._lcp_between(a.owner, a.start, b.owner, b.start, min(len(a), len(b)))
+        cap = min(len(a), len(b))
+        if cap == 0 or (a.owner == b.owner and a.start == b.start):
+            return cap
+        ga, gb = self._slp(a), self._slp(b)
+        if ga.access(a.start) != gb.access(b.start):
+            return 0
+        ha = self._prefix_fingerprint(a.owner, a.start)
+        hb = self._prefix_fingerprint(b.owner, b.start)
+        lo = _gallop(lambda l: self._same_span(
+            ha, self._prefix_fingerprint(a.owner, a.start + l),
+            hb, self._prefix_fingerprint(b.owner, b.start + l), l), cap)
+        if lo < cap and ga.access(a.start + lo) == gb.access(b.start + lo):
+            raise RuntimeError(_COLLISION)
+        return lo
 
     def lcp_r(self, a: Fragment, b: Fragment) -> int:
-        return self.lcp(self.reversed_fragment(a), self.reversed_fragment(b))
+        cap = min(len(a), len(b))
+        if cap == 0 or (a.owner == b.owner and a.end == b.end):
+            return cap
+        ga, gb = self._slp(a), self._slp(b)
+        if ga.access(a.end - 1) != gb.access(b.end - 1):
+            return 0
+        ha = self._prefix_fingerprint(a.owner, a.end)
+        hb = self._prefix_fingerprint(b.owner, b.end)
+        lo = _gallop(lambda l: self._same_span(
+            self._prefix_fingerprint(a.owner, a.end - l), ha,
+            self._prefix_fingerprint(b.owner, b.end - l), hb, l), cap)
+        if lo < cap and ga.access(a.end - 1 - lo) == gb.access(b.end - 1 - lo):
+            raise RuntimeError(_COLLISION)
+        return lo
 
     def ipm(self, p: Fragment, t: Fragment) -> ArithmeticProgression:
         if len(p) < 1:
@@ -399,39 +410,11 @@ class SlpBackend:
             h2 = (h2 * b2 + t.byte[a]) % _FIELD
         return h1, h2
 
-    def _lcp_between(self, oa: int, ia: int, ob: int, ib: int, cap: int) -> int:
-        """lcp of gen(oa)[ia:] and gen(ob)[ib:], at most cap."""
-        ga, gb = self._slps[oa], self._slps[ob]
-        limit = min(ga.length - ia, gb.length - ib, cap)
-        if limit <= 0:
-            return 0
-        if ga is gb and ia == ib:
-            return limit
-        if ga.access(ia) != gb.access(ib):
-            return 0
-        base_a = self._prefix_fingerprint(oa, ia)
-        base_b = self._prefix_fingerprint(ob, ib)
-        b1, b2 = ga.params
-
-        def eq(ln: int) -> bool:
-            pw1, pw2 = pow(b1, ln, _FIELD), pow(b2, ln, _FIELD)
-            ha = self._prefix_fingerprint(oa, ia + ln)
-            hb = self._prefix_fingerprint(ob, ib + ln)
-            return ((ha[0] - base_a[0] * pw1) % _FIELD == (hb[0] - base_b[0] * pw1) % _FIELD
-                    and (ha[1] - base_a[1] * pw2) % _FIELD == (hb[1] - base_b[1] * pw2) % _FIELD)
-
-        lo, step = 1, 1
-        while lo + step <= limit and eq(lo + step):
-            lo += step
-            step *= 2
-        hi = min(limit, lo + step)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if eq(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        if lo < limit and ga.access(ia + lo) == gb.access(ib + lo):
-            raise RuntimeError("fingerprint collision detected; build the grammars "
-                               "with other bases (Slp params)")
-        return lo
+    def _same_span(self, a0, a1, b0, b1, ln: int) -> bool:
+        """Whether two length-ln spans fingerprint equal, each given by the
+        prefix fingerprints h0, h1 at its ends: the span's is h1 - h0 * b^ln."""
+        for j, base in enumerate(self._slps[0].params):
+            bl = pow(base, ln, _FIELD)
+            if (a1[j] - a0[j] * bl - b1[j] + b0[j] * bl) % _FIELD:
+                return False
+        return True

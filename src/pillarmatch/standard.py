@@ -1,20 +1,19 @@
 """Plain in-memory backend: byte strings plus one suffix-array LCE index.
 
-Every registered string is kept with its reverse; the reverses serve the
-suffix-side queries (lcp_r and the right-to-left generators).  The forward
-strings form one integer corpus, each string followed by a unique negative
-separator, and its longest-common-extension structure -- suffix array, lcp
-array, and a blocked range-minimum table -- is built on the first lcp between
-two forward fragments, so pure scanning workloads (exact matching, character
-access) build nothing.  An lcp that touches a reversed fragment is answered
-by galloping byte comparison over the stored bytes and never builds an index.
+Each registered string is held once.  The strings form one integer corpus,
+each string followed by a unique negative separator, and its
+longest-common-extension structure -- suffix array, lcp array, and a blocked
+range-minimum table -- is built on the first lcp, so pure scanning workloads
+(exact matching, character access) build nothing.  lcp_r, the only
+right-to-left read, gallops backwards over the stored bytes and never builds
+the index.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pillar import ArithmeticProgression, ContractError, Fragment, _find_all, _lcp_bytes, \
+from .pillar import ArithmeticProgression, ContractError, Fragment, _find_all, _gallop, \
     _progression_from_sorted
 
 
@@ -123,54 +122,46 @@ class _BlockRmq:
         return best
 
 
-def _build_index(strings: list[bytes]) -> tuple[_BlockRmq, np.ndarray]:
+def _build_index(strings: list[bytes]) -> tuple[_BlockRmq, list[np.ndarray]]:
     """LCE structure over a corpus: the strings in order, each
     followed by a unique negative separator.  Returns the range-minimum table
-    over the lcp array and the rank of every corpus position."""
+    over the lcp array and, per string, the ranks of its positions."""
     total = sum(len(s) + 1 for s in strings)
     corpus = np.empty(total, dtype=np.int64)
+    starts = []
     pos = 0
     for i, s in enumerate(strings):
+        starts.append(pos)
         corpus[pos:pos + len(s)] = np.frombuffer(s, dtype=np.uint8)
         corpus[pos + len(s)] = -1 - i
         pos += len(s) + 1
     sa = _suffix_array(corpus)
     rank = np.empty(total, dtype=np.int64)
     rank[sa] = np.arange(total)
-    return _BlockRmq(_lcp_array(corpus.tolist(), sa, rank)), rank
+    return _BlockRmq(_lcp_array(corpus.tolist(), sa, rank)), \
+        [rank[p:p + len(s)] for p, s in zip(starts, strings)]
 
 
 class StandardBackend:
-    """In-memory strings with O(1)-style forward lcp after a lazy index build.
+    """In-memory strings with O(1)-style lcp after a lazy index build.
 
-    Owner 2i is the i-th registered string and owner 2i+1 its reverse; the
-    i-th string starts at offset _offsets[i] of the index corpus.
+    Owner i is the i-th registered string.
     """
 
     def __init__(self, strings: list[bytes]):
         if sum(len(s) for s in strings) < 1:
             raise ContractError("backend needs at least one nonempty string")
-        self._strings: list[bytes] = []
-        self._offsets: list[int] = []
-        pos = 0
-        for s in strings:
-            data = bytes(s)
-            self._strings.extend((data, data[::-1]))
-            self._offsets.append(pos)
-            pos += len(data) + 1
-        # the forward strings' LCE index, built by the first forward lcp
+        self._strings = [bytes(s) for s in strings]
+        # the LCE index, built by the first lcp; _rank[i][j] is the rank of
+        # position j of string i
         self._rmq: _BlockRmq | None = None
-        self._rank: np.ndarray | None = None
+        self._rank: list[np.ndarray] | None = None
 
     # -- handle plumbing ----------------------------------------------------
 
     def handle(self, index: int) -> Fragment:
         """Whole-string handle for the index-th registered string."""
-        return Fragment(2 * index, 0, len(self._strings[2 * index]))
-
-    def reversed_fragment(self, f: Fragment) -> Fragment:
-        n = len(self._strings[f.owner])
-        return Fragment(f.owner ^ 1, n - f.end, n - f.start)
+        return Fragment(index, 0, len(self._strings[index]))
 
     def bytes_of(self, f: Fragment) -> bytes:
         return self._strings[f.owner][f.start:f.end]
@@ -186,24 +177,27 @@ class StandardBackend:
             return 0
         if a.owner == b.owner and a.start == b.start:
             return min(la, lb)
-        sa_, sb_ = self._strings[a.owner], self._strings[b.owner]
-        if sa_[a.start] != sb_[b.start]:
+        if self._strings[a.owner][a.start] != self._strings[b.owner][b.start]:
             return 0
-        if (a.owner | b.owner) & 1:  # a reversed fragment: gallop
-            return _lcp_bytes(sa_, sb_, a.start, b.start, min(la, lb))
-        pa = self._offsets[a.owner >> 1] + a.start
-        pb = self._offsets[b.owner >> 1] + b.start
         if self._rank is None:
             # _rank is the guard and is assigned last, so concurrent readers
             # never see a half-built index
-            self._rmq, self._rank = _build_index(self._strings[0::2])
-        ra, rb = int(self._rank[pa]), int(self._rank[pb])
+            self._rmq, self._rank = _build_index(self._strings)
+        ra, rb = int(self._rank[a.owner][a.start]), int(self._rank[b.owner][b.start])
         if ra > rb:
             ra, rb = rb, ra
         return min(self._rmq.query(ra + 1, rb + 1), la, lb)
 
     def lcp_r(self, a: Fragment, b: Fragment) -> int:
-        return self.lcp(self.reversed_fragment(a), self.reversed_fragment(b))
+        """Longest common suffix of a and b, galloping backwards over the
+        stored bytes."""
+        cap = min(len(a), len(b))
+        if cap == 0 or (a.owner == b.owner and a.end == b.end):
+            return cap
+        sa_, sb_, ea, eb = self._strings[a.owner], self._strings[b.owner], a.end, b.end
+        if sa_[ea - 1] != sb_[eb - 1]:
+            return 0
+        return _gallop(lambda l: sa_[ea - l:ea] == sb_[eb - l:eb], cap)
 
     def scan_exact(self, p: Fragment, t: Fragment) -> list[int]:
         """All exact occurrences of p in t by a C-level substring scan."""

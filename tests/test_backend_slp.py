@@ -33,6 +33,30 @@ def random_slp(rng: random.Random, max_rules: int, alpha: int = 3, cap: int = 10
     return Slp(left, right, byte, len(left) - 1)
 
 
+def balanced_slp(data: bytes) -> Slp:
+    """Grammar that pairs neighbours level by level, equal pairs sharing one
+    symbol, so a^n or (ab)^n with one byte changed takes O(log n) rules per
+    level and every descent is O(log n) deep."""
+    left: list[int] = []
+    right: list[int] = []
+    byte: list[int] = []
+    ids: dict[tuple[int, int, int], int] = {}
+
+    def sym(key: tuple[int, int, int]) -> int:
+        if key not in ids:
+            ids[key] = len(left)
+            left.append(key[0])
+            right.append(key[1])
+            byte.append(key[2])
+        return ids[key]
+
+    level = [sym((-1, -1, c)) for c in data]
+    while len(level) > 1:
+        pairs = [sym((a, b, -1)) for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[2 * len(pairs):]
+    return Slp(left, right, byte, level[0])
+
+
 def suffix_lcp(be: SlpBackend, i: int, j: int) -> int:
     """lcp of the suffixes at i and j of the first grammar's string."""
     h = be.handle(0)
@@ -44,6 +68,31 @@ def naive_lcp(a: bytes, b: bytes) -> int:
     while n < min(len(a), len(b)) and a[n] == b[n]:
         n += 1
     return n
+
+
+@pytest.mark.parametrize("unit", [b"a", b"ab"])
+def test_long_lcp_with_planted_mismatch(unit):
+    """lcp_r (and lcp, mirrored) over extensions thousands of bytes long, cut
+    by one mismatch 2^e - 1, 2^e or 2^e + 1 bytes from the end (the start):
+    the galloping probes and the boundary check land on both sides of a
+    power of two."""
+    u = len(unit)
+    for n in (2 ** 12 - 1, 2 ** 12 + 1):
+        clean = (unit * n)[:n]
+        for e in range(12):
+            for d in (2 ** e - 1, 2 ** e, 2 ** e + 1):
+                tail, head = bytearray(clean), bytearray(clean)
+                tail[n - 1 - d] = head[d] = ord("x")
+                tail, head = bytes(tail), bytes(head)
+                be = SlpBackend([balanced_slp(clean), balanced_slp(tail), balanced_slp(head)])
+                c, t, h = be.handle(0), be.handle(1), be.handle(2)
+                assert be.lcp_r(c, t) == d and be.lcp(c, h) == d
+                pairs = [(c, t, clean, tail),
+                         (extract(c, 0, n - u), extract(t, u, n), clean[:n - u], tail[u:]),
+                         (extract(t, 0, n - u), extract(t, u, n), tail[:n - u], tail[u:])]
+                for fa, fb, sa, sb in pairs:
+                    assert be.lcp_r(fa, fb) == naive_lcp(sa[::-1], sb[::-1]), (n, d)
+                    assert be.lcp_r(fb, fa) == naive_lcp(sb[::-1], sa[::-1]), (n, d)
 
 
 class TestParse:

@@ -109,25 +109,32 @@ def test_suffix_array_matches_naive(sigma):
 
 
 def test_only_forward_lcp_builds_the_index():
+    """Scans, ipm and lcp_r, even lcp_r runs thousands of bytes long, leave
+    the index unbuilt; the first lcp builds it.  Each string is held once."""
     text = b"abracadabra" * 3
-    b = StandardBackend([b"abra", text])
-    h = b.handle(1)
+    run = b"ab" * 3000
+    b = StandardBackend([b"abra", text, b"y" + run, b"x" + run])
+    assert len(b._strings) == 4
+    h, yr, xr = b.handle(1), b.handle(2), b.handle(3)
     b.scan_exact(b.handle(0), h)
     b.ipm(b.handle(0), extract(h, 0, 8))
     assert b.lcp_r(extract(h, 0, 11), extract(h, 11, 22)) == 11
-    rh = b.reversed_fragment(h)
-    assert b.lcp(rh, extract(rh, 11, 33)) == 22
-    assert b.lcp(extract(h, 0, 4), b.reversed_fragment(b.handle(0))) == 1
-    assert b._rank is None  # reversed and mixed lcp gallop
+    assert b.lcp_r(h, b.handle(0)) == 4
+    assert b.lcp_r(yr, xr) == 6000
+    assert b.lcp_r(extract(yr, 0, 4001), extract(xr, 0, 5001)) == 4000
+    assert b._rank is None
     assert b.lcp(extract(h, 0, 11), extract(h, 11, 22)) == 11
     assert b._rank is not None
 
 
 def test_cross_side_lcp_matches_naive():
+    """lcp_r between fragments of three strings, same or different, equals
+    the lcp of the reversed strings, without building the index."""
     rng = random.Random(24)
     strings = [bytes(rng.randrange(2) + 97 for _ in range(rng.randrange(1, 60)))
                for _ in range(3)]
     b = StandardBackend(strings)
+    assert len(b._strings) == 3
     for _ in range(500):
         i, j = rng.randrange(3), rng.randrange(3)
         si, sj = strings[i], strings[j]
@@ -137,11 +144,8 @@ def test_cross_side_lcp_matches_naive():
         b2 = rng.randrange(b1, len(sj) + 1)
         fa = extract(b.handle(i), a1, a2)
         fb = extract(b.handle(j), b1, b2)
-        ra, rb = si[a1:a2][::-1], sj[b1:b2][::-1]
-        assert b.lcp(fa, b.reversed_fragment(fb)) == naive_lcp(si[a1:a2], rb)
-        assert b.lcp(b.reversed_fragment(fb), fa) == naive_lcp(rb, si[a1:a2])
-        assert b.lcp(b.reversed_fragment(fa), b.reversed_fragment(fb)) == naive_lcp(ra, rb)
-        assert b.lcp_r(fa, fb) == naive_lcp(ra, rb)
+        assert b.lcp_r(fa, fb) == naive_lcp(si[a1:a2][::-1], sj[b1:b2][::-1])
+        assert b.lcp_r(fb, fa) == naive_lcp(sj[b1:b2][::-1], si[a1:a2][::-1])
     assert b._rank is None
 
 

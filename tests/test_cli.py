@@ -179,6 +179,20 @@ def test_analyze_bad_k():
     assert res.returncode == 4
 
 
+@pytest.mark.parametrize("e", [22, 40])
+def test_analyze_bad_k_huge_pattern(tmp_path, capsys, e):
+    """pm analyze rejects -k before it extracts a grammar pattern: a^(2^22)
+    takes over a second to extract, a^(2^40) would never finish."""
+    pattern = _power_slp(tmp_path / "p.slp", e)
+    for k in (0, 2 ** 40):
+        t0 = time.perf_counter()
+        rc = cli.main(["analyze", "--metric", "hamming", "-k", str(k), "--pattern-slp", pattern])
+        elapsed = time.perf_counter() - t0
+        assert rc == 4
+        assert "unusable" in capsys.readouterr().err
+        assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("seed_args", [{"PM_SEED": "123"}, {}])
 def test_deterministic_outputs(tmp_path, seed_args):
     # outputs depend on the inputs alone; a PM_SEED in the environment changes nothing

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pillarmatch.edit import EditGenerator, EditGeneratorR
+from pillarmatch.hamming import MismatchGenerator, MismatchGeneratorR
 from pillarmatch.pillar import (ArithmeticProgression, ContractError, OccurrenceSet, _lcp_bytes,
                                 access, equal, exact_matches, extract, lcp_power, period,
                                 rotations)
@@ -279,6 +281,60 @@ class TestLcpPower:
             while want < min(len(s), len(window)) and s[want] == window[want]:
                 want += 1
             assert lcp_power(b, hs, b.handle(1), l, r) == want
+
+
+class TestRightToLeftGenerators:
+    """The right-to-left generators read through lcp_r; each step must equal
+    the forward generator's step over the reversed strings."""
+
+    @staticmethod
+    def _backend(kind: str, strings: list[bytes]):
+        if kind == "standard":
+            return StandardBackend(strings)
+        return SlpBackend([left_comb_slp(s) for s in strings])
+
+    @staticmethod
+    def _case(rng: random.Random) -> tuple[bytes, bytes, int]:
+        """s near a power of q (long lcp_r runs), or random; the end offset."""
+        q = bytes(rng.randrange(2) + 97 for _ in range(rng.randrange(1, 5)))
+        ns = rng.randrange(0, 120)
+        s = bytearray((q * (ns // len(q) + 2))[rng.randrange(len(q)):][:ns])
+        for _ in range(rng.randrange(4)):
+            if s:
+                s[rng.randrange(len(s))] = rng.choice(b"abc")
+        if rng.random() < 0.3:
+            s = bytearray(rng.choice(b"ab") for _ in range(ns))
+        return bytes(s), q, rng.randrange(len(q))
+
+    @pytest.mark.parametrize("kind", ["standard", "slp"])
+    def test_mismatch_generator(self, kind):
+        rng = random.Random(61)
+        for _ in range(150):
+            s, q, end_off = self._case(rng)
+            ns = len(s)
+            b = self._backend(kind, [b"#" + s + b"#", q])
+            got = MismatchGeneratorR(b, extract(b.handle(0), 1, ns + 1), b.handle(1), end_off)
+            f = self._backend(kind, [s[::-1] + b"#", q[::-1]])
+            want = MismatchGenerator(f, extract(f.handle(0), 0, ns), f.handle(1),
+                                     (-end_off) % len(q))
+            while True:
+                pos = want.next()
+                assert got.next() == (None if pos is None else ns - 1 - pos)
+                if pos is None:
+                    break
+
+    @pytest.mark.parametrize("kind", ["standard", "slp"])
+    def test_edit_generator(self, kind):
+        rng = random.Random(62)
+        for _ in range(100):
+            s, q, end_off = self._case(rng)
+            ns = len(s)
+            b = self._backend(kind, [b"#" + s + b"#", q])
+            got = EditGeneratorR(b, extract(b.handle(0), 1, ns + 1), b.handle(1), end_off)
+            f = self._backend(kind, [s[::-1] + b"#", q[::-1]])
+            want = EditGenerator(f, extract(f.handle(0), 0, ns), f.handle(1), (-end_off) % len(q))
+            for _ in range(6):
+                assert got.next() == want.next()
 
 
 class TestExactMatches:
