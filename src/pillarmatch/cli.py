@@ -143,7 +143,7 @@ def _run_analyze(args) -> int:
     print(f"m={m} k={args.k} metric={args.metric}")
     if isinstance(result, Breaks):
         print("variant=breaks")
-        for off, ln in result.items:
+        for off, ln, _ in result.items:
             print(f"break {off}:{ln}")
     elif isinstance(result, RepetitiveRegions):
         print("variant=regions")

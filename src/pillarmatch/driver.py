@@ -4,11 +4,14 @@ Both metrics follow one scheme: sweep the pattern once into breaks,
 repetitive regions or an approximate period; then either mark candidate
 starts over the whole text, by votes of the anchors' occurrences, and
 verify them, or run the periodic matcher, which cuts the text into
-overlapping blocks of less than 3m/2 (+k) bytes.  This module holds that
-scheme.  The metric modules supply what differs -- region growth,
-verification, the periodic matcher and the dense scan -- as arguments at
-call time, so each of those stays a plain module-level function of its
-metric.
+overlapping blocks of less than 3m/2 (+k) bytes.  Breaks whose period is
+short enough for the periodic matcher hand the query over to it when the
+whole pattern is close to a power of that period (see `mark_breaks`), so a
+pattern periodic on that scale is not marked by anchors that match once
+per period.  This module holds that scheme.  The metric modules supply
+what differs -- region growth, verification, the near-power test, the
+periodic matcher and the dense scan -- as arguments at call time, so each
+of those stays a plain module-level function of its metric.
 
 `pad` is the slack of a window beyond m: 0 for mismatches, k for edits
 (an edit occurrence starting at s may end anywhere up to s + m + k).
@@ -37,8 +40,10 @@ MARK_DIV = 4
 
 @dataclass(frozen=True)
 class Breaks:
-    """2k disjoint aperiodic anchors; items are (offset, length) pairs."""
-    items: tuple[tuple[int, int], ...]
+    """2k disjoint aperiodic anchors; items are (offset, length, period)
+    triples, period being the break's smallest period if it is at most
+    half its length, else None."""
+    items: tuple[tuple[int, int, int | None], ...]
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ def analyze(backend, p: Fragment, k: int, grow) -> PatternAnalysis:
     if BREAK_DIV * k > m:
         raise ContractError("analysis needs k <= m/8")
     block = m // (BREAK_DIV * k)
-    breaks: list[tuple[int, int]] = []
+    breaks: list[tuple[int, int, int | None]] = []
     regions: list[tuple[int, int, int, int]] = []
     region_total = 0
     j = 0
@@ -81,7 +86,7 @@ def analyze(backend, p: Fragment, k: int, grow) -> PatternAnalysis:
         jp = j + block
         per = period(backend, extract(p, j, jp))
         if per is None or per * PERIOD_DIV * k > m:
-            breaks.append((j, block))
+            breaks.append((j, block, per))
             if len(breaks) == 2 * k:
                 return Breaks(tuple(breaks))
             j = jp
@@ -171,11 +176,30 @@ def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchor
 
 
 def mark_breaks(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int,
-                pad: int, verify) -> OccurrenceSet:
+                pad: int, near_power, periodic, verify) -> OccurrenceSet:
     """Marking by 2k aperiodic breaks: one vote per exactly matching break,
-    at least k votes to verify."""
+    at least k votes to verify -- unless the pattern turns out periodic.
+
+    A break is aperiodic only in the analysis' sense, period above m/(128k),
+    while the periodic matchers take periods up to m/(8d) = m/(64k) for
+    d = 8k.  A pattern with a period in that gap matches each break once per
+    period, so marking would verify nearly every start.  So the breaks are
+    first checked in order: at the first one whose period q has 64k|q| <= m
+    and for which near_power(backend, p, off, |q|, d) finds the whole
+    pattern within d of a power of q, the query goes to
+    periodic(backend, p, t, k, d, *args), args being what near_power
+    returned.  That answer is exact, as the periodic matchers are exact when
+    d >= 2k (here d = 8k), |q| <= m/(8d) (the period check) and p is within
+    d of q^inf (the near-power test, in the alignment the matcher uses).
+    """
+    m, d = len(p), DENSITY * k
+    for off, _, per in analysis.items:
+        if per is not None and 8 * d * per <= m:
+            args = near_power(backend, p, off, per, d)
+            if args is not None:
+                return periodic(backend, p, t, k, d, *args)
     anchors = ((exact_matches(backend, extract(p, off, off + ln), t), off, 1)
-               for off, ln in analysis.items)
+               for off, ln, _ in analysis.items)
     return _vote_and_verify(backend, p, t, k, pad, anchors, k, verify)
 
 

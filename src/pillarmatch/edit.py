@@ -491,8 +491,12 @@ def synched_matches(backend, p: Fragment, t: Fragment, interval: tuple[int, int]
 
 
 def periodic_matches_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
-                        q: Fragment) -> OccurrenceSet:
-    """All k-edit occurrences when p is within d edits of a power of q."""
+                        q: Fragment, witness: tuple[int, int, int] | None = None
+                        ) -> OccurrenceSet:
+    """All k-edit occurrences when p is within d edits of a power of q.
+
+    `witness` is find_a_witness(backend, d, q, p), searched here when not given.
+    """
     m, nq = len(p), len(q)
     if d < max(1, 2 * k):
         raise ContractError("periodic matching needs d >= 2k, d >= 1")
@@ -502,7 +506,8 @@ def periodic_matches_ed(backend, p: Fragment, t: Fragment, k: int, d: int,
         return OccurrenceSet.empty()
     # The pattern side is the same in every block: one witness, and locked
     # fragments once some block needs them.
-    witness = find_a_witness(backend, d, q, p)
+    if witness is None:
+        witness = find_a_witness(backend, d, q, p)
     if witness is None:
         raise ContractError("pattern is not within d edits of a q-power")
     p_locked: tuple[tuple[int, int], ...] | None = None
@@ -526,9 +531,21 @@ def _verified_ed(backend, p: Fragment, t: Fragment, k: int, lo: int, hi: int) ->
     return verify_ed(backend, p, t, k, (lo, hi))
 
 
+def _near_power_ed(backend, p: Fragment, off: int, per: int, d: int
+                   ) -> tuple[Fragment, tuple[int, int, int]] | None:
+    """(q, witness) for q = p[off:off+per) when p is within d edits of a
+    substring of q^inf, else None; the witness is find_a_witness(backend, d,
+    q, p), handed on so that the periodic matcher does not search again."""
+    q = extract(p, off, off + per)
+    witness = find_a_witness(backend, d, q, p)
+    return None if witness is None else (q, witness)
+
+
 def break_matches_ed(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int) -> OccurrenceSet:
-    """Block-marking driver for patterns with 2k aperiodic breaks."""
-    return mark_breaks(backend, p, t, analysis, k, k, _verified_ed)
+    """Block-marking driver for patterns with 2k aperiodic breaks (or the
+    periodic matcher, when a break's period is short enough and fits all of p)."""
+    return mark_breaks(backend, p, t, analysis, k, k, _near_power_ed, periodic_matches_ed,
+                       _verified_ed)
 
 
 def repetitive_matches_ed(backend, p: Fragment, t: Fragment,

@@ -308,9 +308,27 @@ def _verified_hd(backend, p: Fragment, t: Fragment, k: int, lo: int, hi: int) ->
     return [lo] if verify_hd(backend, p, extract(t, lo, lo + len(p)), k) else []
 
 
+def _near_power_hd(backend, p: Fragment, off: int, per: int, d: int) -> tuple[Fragment] | None:
+    """(q,) when p is within d mismatches of q^inf, else None.
+
+    q = p[o:o+per) for o the first multiple of per at or after off, so q^inf
+    is aligned to p's start, as for ApproxPeriod and the periodic matcher.
+    The scan stops at the (d+1)-st mismatch.
+    """
+    o = off + (-off) % per
+    q = extract(p, o, o + per)
+    gen = MismatchGenerator(backend, p, q, 0)
+    for _ in range(d + 1):
+        if gen.next() is None:
+            return (q,)
+    return None
+
+
 def break_matches_hd(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int) -> OccurrenceSet:
-    """Marking driver for patterns with 2k aperiodic breaks."""
-    return mark_breaks(backend, p, t, analysis, k, 0, _verified_hd)
+    """Marking driver for patterns with 2k aperiodic breaks (or the periodic
+    matcher, when a break's period is short enough and fits all of p)."""
+    return mark_breaks(backend, p, t, analysis, k, 0, _near_power_hd, periodic_matches_hd,
+                       _verified_hd)
 
 
 def repetitive_matches_hd(backend, p: Fragment, t: Fragment,

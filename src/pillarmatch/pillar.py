@@ -257,9 +257,13 @@ def rotations(backend, s: Fragment, t: Fragment) -> ArithmeticProgression:
     if n == 0:
         return EMPTY_PROGRESSION
     sb = backend.bytes_of(s)
-    # t occurs at offset n - j of s·s exactly when t is s rotated right by j
-    js = sorted((n - pos) % n for pos in _find_all(backend.bytes_of(t), sb + sb[:-1]))
-    return _progression_from_sorted(js)
+    # t occurs at offset n - j of s·s exactly when t is s rotated right by j.
+    # Those offsets are f, f + r, ... below n, r the primitive root's length,
+    # so the j are the residue -f (mod r) below n.
+    hits = _ipm_bytes(backend.bytes_of(t), sb + sb[:-1])
+    if hits.count < 2:
+        return ArithmeticProgression((-hits.first) % n, 1, 1) if hits.count else hits
+    return ArithmeticProgression((-hits.first) % hits.diff, hits.diff, hits.count)
 
 
 def _find_all(pat: bytes, txt: bytes) -> list[int]:
@@ -272,13 +276,26 @@ def _find_all(pat: bytes, txt: bytes) -> list[int]:
     return out
 
 
-def _progression_from_sorted(hits: list[int]) -> ArithmeticProgression:
-    """Ascending distinct hits as one progression, as exact occurrences of a
-    string no more than twice as long as the pattern always are."""
-    progs = _encode(hits)
-    if len(progs) > 1:
-        raise AssertionError("exact occurrences did not form a progression")
-    return progs[0] if progs else EMPTY_PROGRESSION
+def _ipm_bytes(pat: bytes, txt: bytes) -> ArithmeticProgression:
+    """Every start of pat in txt, for |txt| <= 2|pat|, in linear time.
+
+    Any two such starts lie at most |pat| apart, so the starts form one
+    progression whose difference d is the second start minus the first,
+    and pat has period d.  Two C-level scans find the first and the second
+    start; the progression then runs as far as txt keeps period d from the
+    first start on, one galloping comparison of txt with itself.  (rfind
+    for the last start would re-read the pattern at each window it tries,
+    quadratic on a^(h+1) b a^(h-2) against a^h.)
+    """
+    first = txt.find(pat)
+    if first == -1:
+        return EMPTY_PROGRESSION
+    second = txt.find(pat, first + 1)
+    if second == -1:
+        return ArithmeticProgression(first, 1, 1)
+    diff = second - first
+    end = second + _lcp_bytes(txt, txt, first, second, len(txt) - second)
+    return ArithmeticProgression(first, diff, (end - len(pat) - first) // diff + 1)
 
 
 def exact_matches(backend, p: Fragment, t: Fragment) -> list[int]:

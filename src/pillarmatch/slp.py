@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pillar import ArithmeticProgression, ContractError, Fragment, _find_all, _gallop, \
-    _progression_from_sorted
+from .pillar import ArithmeticProgression, ContractError, Fragment, _gallop, _ipm_bytes
 
 MAX_LEN = (1 << 63) - 1
 _FIELD = (1 << 61) - 1
@@ -367,7 +366,7 @@ class SlpBackend:
             raise ContractError("ipm pattern must be nonempty")
         if len(t) > 2 * len(p):
             raise ContractError("ipm window longer than twice the pattern")
-        return _progression_from_sorted(_find_all(self.bytes_of(p), self.bytes_of(t)))
+        return _ipm_bytes(self.bytes_of(p), self.bytes_of(t))
 
     # -- fingerprints ----------------------------------------------------------
 

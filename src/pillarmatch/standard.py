@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pillar import ArithmeticProgression, ContractError, Fragment, _find_all, _gallop, \
-    _progression_from_sorted
+    _ipm_bytes
 
 
 def _suffix_array(arr: np.ndarray) -> np.ndarray:
@@ -208,4 +208,4 @@ class StandardBackend:
             raise ContractError("ipm pattern must be nonempty")
         if len(t) > 2 * len(p):
             raise ContractError("ipm window longer than twice the pattern")
-        return _progression_from_sorted(self.scan_exact(p, t))
+        return _ipm_bytes(self.bytes_of(p), self.bytes_of(t))

@@ -1,9 +1,14 @@
 import random
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillarmatch import ContractError, extract
+from pillarmatch.pillar import period
 from pillarmatch.standard import StandardBackend, _suffix_array
 
 
@@ -82,6 +87,57 @@ def test_ipm_windows_match_naive():
         got = list(b.ipm(b.handle(0), b.handle(1)))
         want = [i for i in range(lt - lp + 1) if t[i:i + lp] == p]
         assert got == want
+
+
+@st.composite
+def _ipm_pair(draw):
+    """(p, t) with |t| <= 2|p|: random strings, or stretches of one periodic
+    string u^inf, each with at most one byte changed."""
+    lp = draw(st.integers(1, 40))
+    lt = draw(st.integers(1, 2 * lp))
+    if draw(st.booleans()):
+        u = draw(st.binary(min_size=1, max_size=6))
+        power = u * (3 * lp // len(u) + 3)
+        i, j = draw(st.integers(0, len(u))), draw(st.integers(0, len(u)))
+        p, t = bytearray(power[i:i + lp]), bytearray(power[j:j + lt])
+    else:
+        p = bytearray(draw(st.binary(min_size=lp, max_size=lp)))
+        t = bytearray(draw(st.binary(min_size=lt, max_size=lt)))
+    for s in (p, t):
+        if draw(st.booleans()):
+            s[draw(st.integers(0, len(s) - 1))] = draw(st.integers(0, 255))
+    return bytes(p), bytes(t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ipm_pair())
+def test_ipm_equals_naive_scan(pair):
+    p, t = pair
+    b = StandardBackend([p, t])
+    want = [i for i in range(len(t) - len(p) + 1) if t[i:i + len(p)] == p]
+    assert list(b.ipm(b.handle(0), b.handle(1))) == want
+
+
+@pytest.mark.parametrize("unit", [b"a", b"ab"])
+def test_period_of_long_power_is_fast(unit):
+    """period's ipm costs a few linear scans, not one scan per hit:
+    a^(2^17) and (ab)^(2^16) each take well under a second."""
+    s = unit * ((1 << 17) // len(unit))
+    b = StandardBackend([s])
+    t0 = time.perf_counter()
+    assert period(b, b.handle(0)) == len(unit)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_ipm_past_the_last_hit_is_linear():
+    # Every window past the last hit matches a^h up to the b, from the right:
+    # an rfind for the last hit would take quadratic time here.
+    h = 1 << 17
+    b = StandardBackend([b"a" * h, b"a" * (h + 1) + b"b" + b"a" * (h - 2)])
+    t0 = time.perf_counter()
+    prog = b.ipm(b.handle(0), b.handle(1))
+    assert (prog.first, prog.diff, prog.count) == (0, 1, 2)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_index_is_lazy():

@@ -6,7 +6,7 @@ from pillarmatch import driver, edit, hamming
 from pillarmatch.driver import ApproxPeriod, Breaks, RepetitiveRegions, blocks
 from pillarmatch.edit import analyze_ed, edit_occurrences
 from pillarmatch.hamming import analyze_hd, mismatch_occurrences
-from pillarmatch.oracle import brute_ed_occurrences, brute_hd_occurrences
+from pillarmatch.oracle import brute_ed_occurrences, brute_edl, brute_hd_occurrences
 from pillarmatch.standard import StandardBackend
 
 METRICS = {
@@ -162,3 +162,178 @@ def test_long_period_route_against_oracle(metric, monkeypatch):
     assert votes and set(votes) == {nq}
     if metric == "edit":
         assert widths and max(widths) < nq - 1
+
+
+# -- breaks whose period lies in the gap (m/(128k), m/(64k)] -------------------------------
+
+PERIODIC = {"hamming": (hamming, "periodic_matches_hd"), "edit": (edit, "periodic_matches_ed")}
+
+
+def _primitive_unit(rng, nq: int) -> bytes:
+    while True:
+        q = _dna(rng, nq)
+        if all(q != q[i:] + q[:i] for i in range(1, nq)):
+            return q
+
+
+def _damage(rng, s: bytearray, where: list[int], edits: bool) -> None:
+    """One error at each position of `where`, right to left: a substitution,
+    or for edits also an insertion or a deletion."""
+    for i in sorted(where, reverse=True):
+        op = rng.randrange(3) if edits else 0
+        if op == 0:
+            s[i] = ord("x")
+        elif op == 1:
+            s.insert(i, ord("y"))
+        else:
+            del s[i]
+
+
+def _gap_case(rng, metric, m, k, nq, p_errors, first_break_error=False):
+    """A pattern within p_errors (one more with first_break_error, inside the
+    first break) of a power of a primitive unit of length nq, and a text of
+    3m..4m bytes from the same power.  Copies of the pattern start at every
+    third of the periodic matcher's block edges i*m/2 (+-k), far enough
+    apart not to overlap, each with one error near that edge; the edge two
+    further on gets an error just past the copy."""
+    edits = metric == "edit"
+    unit = _primitive_unit(rng, nq)
+    power = unit * (6 * m // nq)
+    p = bytearray(power[:2 * m])
+    where = rng.sample(range(m // (8 * k), m - 1), p_errors)
+    if first_break_error:
+        where.append(rng.randrange(m // (8 * k)))
+    _damage(rng, p, where, edits)
+    p = p[:m]
+    n = rng.randrange(3 * m, 4 * m)
+    shift = rng.randrange(nq)
+    t = bytearray(power[shift:shift + n])
+    edges = [(i * m) // 2 for i in range(1, (2 * n) // m)]
+    for edge in edges[::3]:
+        s = edge + rng.choice((-k, 0, k))
+        t[s:s + len(p)] = p[:n - s]
+    where = [edge + rng.randrange(-2, 3) for edge in edges[::3]]
+    where += [edge + k + 2 + rng.randrange(2) for edge in edges[2::3]]
+    _damage(rng, t, [i for i in where if i < len(t)], edits)
+    return bytes(p), bytes(t)
+
+
+def _counted_run(monkeypatch, metric, p, t, k):
+    """The query's outputs, checked against the brute-force oracle, its
+    analysis, and the lengths of the patterns the metric's periodic matcher
+    was called with."""
+    match, analyze, brute, _ = METRICS[metric]
+    module, name = PERIODIC[metric]
+    original = getattr(module, name)
+    calls = []
+
+    def counting(backend, pat, txt, *args):
+        calls.append(len(pat))
+        return original(backend, pat, txt, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    b = StandardBackend([p, t])
+    analysis = analyze(b, b.handle(0), k)
+    got = match(b, b.handle(0), b.handle(1), k, analysis)
+    assert set(got.positions()) == brute(p, t, k)
+    return got, analysis, calls
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+@pytest.mark.parametrize("m,k,nq", [(512, 1, 5), (512, 1, 8), (1024, 2, 5), (1024, 2, 8)])
+def test_gap_period_breaks_hand_over(metric, m, k, nq, monkeypatch):
+    # 128k|q| > m makes every clean block a break; 64k|q| <= m lets the
+    # periodic matcher take the whole pattern.
+    assert 64 * k * nq <= m < 128 * k * nq
+    rng = random.Random(m * 100 + k * 10 + nq)
+    for p_errors in (0, 1, 4 * k):
+        p, t = _gap_case(rng, metric, m, k, nq, p_errors)
+        got, analysis, calls = _counted_run(monkeypatch, metric, p, t, k)
+        assert isinstance(analysis, Breaks)
+        assert calls == [len(p)]
+        if p_errors <= k:
+            assert len(got) > 0
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_gap_period_hands_over_on_a_later_break(metric, monkeypatch):
+    m, k, nq = 512, 1, 5
+    rng = random.Random(7)
+    for _ in range(3):
+        p, t = _gap_case(rng, metric, m, k, nq, 0, first_break_error=True)
+        got, analysis, calls = _counted_run(monkeypatch, metric, p, t, k)
+        assert isinstance(analysis, Breaks)
+        first, later = analysis.items[0][2], analysis.items[1][2]
+        assert first is None or 64 * k * first > m
+        assert later == nq
+        assert calls == [len(p)] and len(got) > 0
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_gap_period_far_from_a_power_stays_on_marking(metric, monkeypatch):
+    # The breaks have period 5 in the gap, but the pattern's second half is
+    # random, so it is far more than 8k from every power of the unit.
+    m, k, nq = 512, 1, 5
+    rng = random.Random(8)
+    unit = _primitive_unit(rng, nq)
+    p = (unit * m)[:m // 2] + _dna(rng, m - m // 2)
+    t = bytearray(_dna(rng, 3 * m))
+    for s in (0, m, 2 * m):
+        t[s:s + m] = p
+    t[m + 300] ^= 3
+    t = bytes(t)
+    got, analysis, calls = _counted_run(monkeypatch, metric, p, t, k)
+    assert isinstance(analysis, Breaks)
+    assert all(per == nq for _, _, per in analysis.items)
+    assert calls == [] and {0, m, 2 * m} <= set(got.positions())
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_period_above_the_gap_stays_on_marking(metric, monkeypatch):
+    # |q| = 9 > m/(64k): even an exact power of the unit is marked by breaks.
+    m, k, nq = 512, 1, 9
+    rng = random.Random(9)
+    p, t = _gap_case(rng, metric, m, k, nq, 1)
+    _, analysis, calls = _counted_run(monkeypatch, metric, p, t, k)
+    assert isinstance(analysis, Breaks)
+    assert calls == []
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+@pytest.mark.parametrize("errors", [8, 9])
+def test_near_power_bound_is_d(metric, errors, monkeypatch):
+    # m = 512, k = 1, d = 8k = 8: a pattern 8 substitutions from the power
+    # hands over, one 9 away stays on marking.
+    m, k, nq = 512, 1, 5
+    rng = random.Random(11)
+    unit = _primitive_unit(rng, nq)
+    p = bytearray((unit * m)[:m])
+    for i in range(errors):
+        p[140 + 40 * i] = ord("x")
+    p = bytes(p)
+    if metric == "hamming":
+        assert sum(a != b for a, b in zip(p, unit * m)) == errors
+    else:
+        assert brute_edl(p, unit) == errors
+    t = bytearray((unit * 4 * m)[:3 * m])
+    t[m:2 * m] = p
+    t[2 * m + 7] = ord("y")
+    _, analysis, calls = _counted_run(monkeypatch, metric, p, bytes(t), k)
+    assert isinstance(analysis, Breaks)
+    assert calls == ([len(p)] if errors <= 8 * k else [])
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_handover_skips_a_gap_break_far_from_the_pattern(metric, monkeypatch):
+    # m = 1024, k = 2: the first break is (abcdx)^*, the rest (abcde)^*.  Both
+    # periods are 5, in the gap; the pattern is 13 errors (<= d = 16) from
+    # the second unit's power but far from the first's.
+    m, k = 1024, 2
+    p = (b"abcdx" * m)[:64] + (b"abcde" * m)[64:m]
+    t = bytearray((b"abcde" * m)[:3 * m])
+    t[1000:1000 + m] = p
+    t[1500] = ord("z")
+    _, analysis, calls = _counted_run(monkeypatch, metric, p, bytes(t), k)
+    assert isinstance(analysis, Breaks)
+    assert [per for _, _, per in analysis.items] == [5] * 4
+    assert calls == [len(p)]

@@ -195,7 +195,7 @@ class TestAnalyzeEd:
     def test_breaks_example(self):
         b = be(b"abcdefghijklmnop")
         res = analyze_ed(b, b.handle(0), 1)
-        assert isinstance(res, Breaks) and res.items == ((0, 2), (2, 2))
+        assert isinstance(res, Breaks) and res.items == ((0, 2, None), (2, 2, None))
 
     def test_approx_period_example(self):
         b = be(b"a" * 256)
@@ -426,7 +426,7 @@ class TestBreakMatchesEd:
     def test_example(self):
         p, t = b"abcdef", b"abcdefab"
         b = be(p, t)
-        occ = break_matches_ed(b, b.handle(0), b.handle(1), Breaks(((0, 2), (2, 2))), 1)
+        occ = break_matches_ed(b, b.handle(0), b.handle(1), Breaks(((0, 2, None), (2, 2, None))), 1)
         assert set(occ.positions()) == {0, 1}
 
     def test_identity(self):
@@ -440,7 +440,7 @@ class TestBreakMatchesEd:
     def test_no_breaks_in_text(self):
         p, t = b"abcdefgh", b"zzzzzzzzzzzz"
         b = be(p, t)
-        occ = break_matches_ed(b, b.handle(0), b.handle(1), Breaks(((0, 1), (1, 1))), 1)
+        occ = break_matches_ed(b, b.handle(0), b.handle(1), Breaks(((0, 1, None), (1, 1, None))), 1)
         assert occ.positions() == []
 
 

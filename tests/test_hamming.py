@@ -9,6 +9,7 @@ from pillarmatch.hamming import (ApproxPeriod, Breaks, MismatchGenerator, Repeti
                                  mismatch_occurrences, mismatches, periodic_matches_hd,
                                  repetitive_matches_hd, verify_hd)
 from pillarmatch.oracle import brute_hd_occurrences
+from pillarmatch.pillar import period
 from pillarmatch.standard import StandardBackend
 
 
@@ -90,7 +91,7 @@ class TestAnalyze:
         b = be(b"abcdefghijklmnop")
         res = analyze_hd(b, b.handle(0), 1)
         assert isinstance(res, Breaks)
-        assert res.items == ((0, 2), (2, 2))
+        assert res.items == ((0, 2, None), (2, 2, None))
 
     def test_approx_period_example(self):
         b = be(b"a" * 256)
@@ -128,10 +129,11 @@ class TestAnalyze:
             if isinstance(res, Breaks):
                 assert len(res.items) == 2 * k
                 end = 0
-                for off, ln in res.items:
+                for off, ln, per in res.items:
                     assert off >= end and ln == m // (8 * k)
                     end = off + ln
                     assert naive_per(p[off:off + ln]) * 128 * k > m
+                    assert per == period(b, extract(b.handle(0), off, off + ln))
             elif isinstance(res, RepetitiveRegions):
                 assert 8 * sum(ln for _, ln, _, _ in res.items) >= 3 * m
                 end = 0
@@ -269,7 +271,7 @@ class TestBreakMatches:
         p, t = b"abcdef", b"abcdefab"
         b = be(p, t)
         occ = break_matches_hd(b, b.handle(0), extract(b.handle(1), 0, 8),
-                               Breaks(((0, 2), (2, 2))), 1)
+                               Breaks(((0, 2, None), (2, 2, None))), 1)
         assert set(occ.positions()) == brute_hd_occurrences(p, t, 1)
         assert 0 in occ
 
@@ -285,7 +287,7 @@ class TestBreakMatches:
         p, t = b"abcdefgh", b"zzzzzzzzzzzz"
         b = be(p, t)
         occ = break_matches_hd(b, b.handle(0), b.handle(1),
-                               Breaks(((0, 1), (1, 1))), 1)
+                               Breaks(((0, 1, None), (1, 1, None))), 1)
         assert occ.positions() == []
 
 
