@@ -267,12 +267,26 @@ def rotations(backend, s: Fragment, t: Fragment) -> ArithmeticProgression:
 
 
 def _find_all(pat: bytes, txt: bytes) -> list[int]:
-    """Every start of pat in txt, ascending, by a C-level substring scan."""
-    out = []
+    """Every start of pat in txt, ascending, by C-level substring scans.
+
+    If the hit after a hit is d <= m/2 further on, pat has smallest period
+    d, and the hits from the first one on are every d-th start as far as
+    txt keeps period d, which one galloping comparison of txt with itself
+    finds (as in _ipm_bytes); the scan resumes past that run.  So a
+    periodic pat costs O(n + occ), not one scan of the needle per hit.
+    """
+    m, n = len(pat), len(txt)
+    out: list[int] = []
     pos = txt.find(pat)
     while pos != -1:
-        out.append(pos)
-        pos = txt.find(pat, pos + 1)
+        nxt = txt.find(pat, pos + 1)
+        if nxt != -1 and 2 * (nxt - pos) <= m:
+            run = range(pos, nxt + _lcp_bytes(txt, txt, pos, nxt, n - nxt) - m + 1, nxt - pos)
+            out.extend(run)
+            nxt = txt.find(pat, run[-1] + 1)
+        else:
+            out.append(pos)
+        pos = nxt
     return out
 
 

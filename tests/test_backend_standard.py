@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillarmatch import ContractError, extract
-from pillarmatch.pillar import period
-from pillarmatch.standard import StandardBackend, _suffix_array
+from pillarmatch import ContractError, extract, find_edit_occurrences, find_mismatch_occurrences
+from pillarmatch.pillar import _find_all, period
+from pillarmatch.standard import StandardBackend, _rank_levels
 
 
 def naive_lcp(a: bytes, b: bytes) -> int:
@@ -150,7 +150,10 @@ def test_index_is_lazy():
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 4, 256])
-def test_suffix_array_matches_naive(sigma):
+def test_rank_levels_match_naive(sigma):
+    """Two positions share a rank at level t exactly when their windows of
+    width*2^t symbols are equal, a window past the end being distinct, and
+    the first level not kept would name every position apart."""
     rng = random.Random(23 + sigma)
     for _ in range(40):
         corpus: list[int] = []
@@ -160,8 +163,88 @@ def test_suffix_array_matches_naive(sigma):
             else:
                 piece = [rng.randrange(sigma) for _ in range(rng.randrange(0, 300))]
             corpus += piece + [-1 - sep]
-        want = sorted(range(len(corpus)), key=lambda i: corpus[i:])
-        assert _suffix_array(np.array(corpus, dtype=np.int64)).tolist() == want
+        n = len(corpus)
+        width, levels = _rank_levels(np.array(corpus, dtype=np.int64))
+        for t in range(len(levels) + 1):
+            h = width << t
+            windows = [tuple(corpus[i:i + h]) if i + h <= n else i for i in range(n)]
+            if t == len(levels):
+                assert len(set(windows)) == n
+            else:
+                assert len(levels[t]) == n
+                ranks = levels[t].tolist()
+                assert len(set(ranks)) == len(set(windows)) == len(set(zip(ranks, windows)))
+
+
+@pytest.mark.parametrize("sigma, across, width", [(2, False, 31), (2, True, 20),
+                                                   (256, False, 6), (256, True, 6)])
+def test_lcp_at_lifting_boundaries(sigma, across, width):
+    """Planted LCEs of width*2^t - 1, width*2^t and width*2^t + 1, where
+    the rank-level walk changes levels, within one string or across two,
+    under fragment caps of the same lengths: lcp equals a naive scan."""
+    rng = random.Random(25 + sigma + across)
+    lengths = sorted({(width << t) + e for t in range(8) for e in (-1, 0, 1)})
+    for lce in lengths:
+        x = bytes(rng.randrange(sigma) for _ in range(lce))
+        junk = [bytes(rng.randrange(sigma) for _ in range(rng.randrange(1, 40))) for _ in range(3)]
+        junk[2] += bytes(range(sigma))  # every letter occurs, which fixes the width
+        c, d = rng.sample(range(sigma), 2)
+        first, second = x + bytes([c]) + junk[0], junk[1] + x + bytes([d]) + junk[2]
+        if across:
+            b = StandardBackend([first, second])
+            sa, pa, sb, pb = first, 0, second, len(junk[1])
+            ha, hb = b.handle(0), b.handle(1)
+        else:
+            sa = sb = first + second
+            b = StandardBackend([sa])
+            pa, pb = 0, len(first) + len(junk[1])
+            ha = hb = b.handle(0)
+        assert naive_lcp(sa[pa:], sb[pb:]) == lce
+        assert b.lcp(extract(ha, pa, len(sa)), extract(hb, pb, len(sb))) == lce
+        assert b._rank[0] == width
+        for cap in lengths:
+            fa = extract(ha, pa, min(len(sa), pa + cap))
+            fb = extract(hb, pb, min(len(sb), pb + cap))
+            assert b.lcp(fa, extract(hb, pb, len(sb))) == min(lce, len(fa)), (lce, cap)
+            assert b.lcp(extract(ha, pa, len(sa)), fb) == min(lce, len(fb)), (lce, cap)
+            assert b.lcp(fb, fa) == min(lce, len(fa), len(fb)), (lce, cap)
+
+
+@st.composite
+def _scan_pair(draw):
+    """(pat, txt): a stretch of a power u^inf as needle and a longer one as
+    text, each with a few bytes changed, or two random strings."""
+    if draw(st.booleans()):
+        u = draw(st.binary(min_size=1, max_size=5))
+        m = draw(st.integers(1, 60))
+        power = u * ((m + 400) // len(u) + 2)
+        i = draw(st.integers(0, len(u)))
+        pat, txt = bytearray(power[i:i + m]), bytearray(power[:draw(st.integers(0, 400))])
+        for s, breaks in ((pat, draw(st.integers(0, 1))), (txt, draw(st.integers(0, 4)))):
+            for _ in range(breaks if s else 0):
+                s[draw(st.integers(0, len(s) - 1))] = draw(st.integers(0, 255))
+    else:
+        pat = draw(st.binary(min_size=1, max_size=6))
+        txt = draw(st.binary(max_size=200))
+    return bytes(pat), bytes(txt)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_scan_pair())
+def test_exact_scan_equals_naive_scan(pair):
+    pat, txt = pair
+    want = [i for i in range(len(txt) - len(pat) + 1) if txt[i:i + len(pat)] == pat]
+    assert _find_all(pat, txt) == want
+
+
+@pytest.mark.parametrize("find", [find_mismatch_occurrences, find_edit_occurrences])
+def test_exact_search_of_long_power_is_fast(find):
+    """k = 0 of a^(2^16) in a^(2^17): the exact scan extends each run of
+    hits in one pass, instead of one needle scan per each of 65537 hits."""
+    t0 = time.perf_counter()
+    occ = find(b"a" * (1 << 16), b"a" * (1 << 17), 0)
+    assert occ.positions() == list(range((1 << 16) + 1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_only_forward_lcp_builds_the_index():
