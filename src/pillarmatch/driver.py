@@ -8,10 +8,15 @@ overlapping blocks of less than 3m/2 (+k) bytes.  Breaks whose period is
 short enough for the periodic matcher hand the query over to it when the
 whole pattern is close to a power of that period (see `mark_breaks`), so a
 pattern periodic on that scale is not marked by anchors that match once
-per period.  This module holds that scheme.  The metric modules supply
-what differs -- region growth, verification, the near-power test, the
-periodic matcher and the dense scan -- as arguments at call time, so each
-of those stays a plain module-level function of its metric.
+per period.  When the votes leave so many starts that verifying them would
+cost more than a dense scan of the whole text, marking runs the metric's
+dense scan instead (see `_vote_and_verify`): short anchors, as when m/(8k)
+is a few bytes, vote for nearly every start.  The dense scan also takes
+every query with 8k > m, where the analysis does not apply.  This module
+holds that scheme.  The metric modules supply what differs -- region growth,
+verification, the near-power test, the periodic matcher and the dense
+scan -- as arguments at call time, so each of those stays a plain
+module-level function of its metric.
 
 `pad` is the slack of a window beyond m: 0 for mismatches, k for edits
 (an edit occurrence starting at s may end anywhere up to s + m + k).
@@ -36,6 +41,19 @@ PERIOD_DIV = 128
 DENSITY = 8
 REGION_NUM, REGION_DEN = 3, 8
 MARK_DIV = 4
+
+# After voting, `_vote_and_verify` runs the dense scan when verifying the
+# voted starts would cost more.  Both estimates count units: verification
+# one per lcp jump, (k+1) per start for mismatches and a band of (k+1)^2
+# for edits; the dense scan one per step, a numpy pass (mismatches) or a
+# round of big-int operations (edits) per pattern byte, plus one per
+# DENSE_BYTES text bytes of each step.  Timed on random DNA on a 2-core
+# host (m 16..1024, n 2^6..2^16, k 1..8), a verification unit cost 2.6-5.7
+# us for mismatches and 0.9-2.9 us for edits; a dense step cost 2.9-3.9 us
+# (numpy) or 0.6-1.1 us (big ints, m >= 64), plus 0.3-0.5 us per 1024 text
+# bytes.  So the estimates stay within about 4x of each other, and where
+# they drift, for long texts, they favour verification.
+DENSE_BYTES = 2048
 
 
 @dataclass(frozen=True)
@@ -135,8 +153,10 @@ def per_block(t: Fragment, m: int, pad: int, solve) -> OccurrenceSet:
 
 
 def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchors,
-                     need: int, verify) -> OccurrenceSet:
-    """Verified starts among those that collect at least `need` votes.
+                     need: int, verify, dense) -> OccurrenceSet:
+    """The occurrences of p in t: the verified starts among those that
+    collect at least `need` votes, or dense(backend, p, t, k) when that is
+    cheaper.
 
     anchors yields (hits, offset, weight): an anchor at pattern offset
     `offset` occurs at text positions `hits`, found over the whole text t.
@@ -153,8 +173,18 @@ def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchor
     whole-text hits are a superset of every block's hits, so every true
     occurrence collects at least as many votes as it would in any block,
     and verification is exact, so no false start gets through.
+
+    Once the votes are in, the voted starts are known, and verifying them
+    is estimated at (k+1) units each for mismatches, (k+1)^2 for edits,
+    against m * (1 + n // DENSE_BYTES) units for the dense scan (see
+    DENSE_BYTES).  The dense scan is exact over the whole text, and so is
+    marking, as above: both return every occurrence and nothing else, so
+    the rule only picks the cheaper route and cannot change the output.
+    The rule reads m, n, k, pad and the number of voted starts, so it grows
+    with n and long texts with selective anchors keep marking.
     """
-    max_start = len(t) - len(p) + pad
+    m, n = len(p), len(t)
+    max_start = n - m + pad
     if max_start < 0:
         return OccurrenceSet.empty()
     width = pad or 1
@@ -167,16 +197,18 @@ def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchor
         for key in keys:
             if 0 <= key <= top:
                 votes[key] = votes.get(key, 0) + weight
+    marked = sorted(key for key, count in votes.items() if count >= need)
+    if len(marked) * width * (k + 1) ** (2 if pad else 1) > m * (1 + n // DENSE_BYTES):
+        return dense(backend, p, t, k)
     found: list[int] = []
-    for key in sorted(votes):
-        if votes[key] >= need:
-            lo = key * width
-            found.extend(verify(backend, p, t, k, lo, min(lo + width - 1, max_start)))
+    for key in marked:
+        lo = key * width
+        found.extend(verify(backend, p, t, k, lo, min(lo + width - 1, max_start)))
     return OccurrenceSet.from_positions(found)
 
 
 def mark_breaks(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int,
-                pad: int, near_power, periodic, verify) -> OccurrenceSet:
+                pad: int, near_power, periodic, verify, dense) -> OccurrenceSet:
     """Marking by 2k aperiodic breaks: one vote per exactly matching break,
     at least k votes to verify -- unless the pattern turns out periodic.
 
@@ -200,11 +232,11 @@ def mark_breaks(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int,
                 return periodic(backend, p, t, k, d, *args)
     anchors = ((exact_matches(backend, extract(p, off, off + ln), t), off, 1)
                for off, ln, _ in analysis.items)
-    return _vote_and_verify(backend, p, t, k, pad, anchors, k, verify)
+    return _vote_and_verify(backend, p, t, k, pad, anchors, k, verify, dense)
 
 
 def mark_regions(backend, p: Fragment, t: Fragment, analysis: RepetitiveRegions, k: int,
-                 pad: int, periodic, verify) -> OccurrenceSet:
+                 pad: int, periodic, verify, dense) -> OccurrenceSet:
     """Weighted marking by repetitive regions: region R votes |R| wherever
     periodic() finds it within floor(4k|R|/m) errors; verify where the
     votes reach m_R - m/4."""
@@ -214,7 +246,7 @@ def mark_regions(backend, p: Fragment, t: Fragment, analysis: RepetitiveRegions,
                 off, ln)
                for off, ln, qoff, qln in analysis.items)
     need = sum(ln for _, ln, _, _ in analysis.items) - m // MARK_DIV
-    return _vote_and_verify(backend, p, t, k, pad, anchors, need, verify)
+    return _vote_and_verify(backend, p, t, k, pad, anchors, need, verify, dense)
 
 
 def occurrences(backend, p: Fragment, t: Fragment, k: int, analysis: PatternAnalysis | None,

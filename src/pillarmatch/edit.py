@@ -1,7 +1,8 @@
 """Pattern matching with up to k edits (insertions, deletions, substitutions).
 
-All alignments are Landau-Vishkin bands: diagonals advanced by lcp jumps.
-Bounded-cost probes -- verifying candidate starts, and witness search
+All alignments but the dense scan (Myers' bit vectors, for 8k > m or when
+marking would verify nearly every start) are Landau-Vishkin bands:
+diagonals advanced by lcp jumps.  Bounded-cost probes -- verifying candidate starts, and witness search
 (where in q^inf a string aligns best) -- share one byte-level kernel,
 `_min_cost_window`.  Where steps or a traceback are needed, a resumable
 generator on the fragment interface's lcp serves instead: its c-th step
@@ -17,8 +18,8 @@ blocks of starts.
 from __future__ import annotations
 
 from collections import deque
-
-import numpy as np
+from itertools import accumulate, compress
+from operator import le, sub
 
 from .driver import (DENSITY, ApproxPeriod, Breaks, PatternAnalysis, RepetitiveRegions,
                      analyze, mark_breaks, mark_regions, occurrences, per_block)
@@ -26,6 +27,7 @@ from .pillar import (ContractError, Fragment, Mirror, OccurrenceSet, _lcp_bytes,
                      lcp_power, rotations)
 
 _NEG = -(1 << 60)
+_POPCOUNT = bytes(i.bit_count() for i in range(256))
 
 
 class EditGenerator:
@@ -545,38 +547,64 @@ def break_matches_ed(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int
     """Block-marking driver for patterns with 2k aperiodic breaks (or the
     periodic matcher, when a break's period is short enough and fits all of p)."""
     return mark_breaks(backend, p, t, analysis, k, k, _near_power_ed, periodic_matches_ed,
-                       _verified_ed)
+                       _verified_ed, _dense_edit_scan)
 
 
 def repetitive_matches_ed(backend, p: Fragment, t: Fragment,
                           analysis: RepetitiveRegions, k: int) -> OccurrenceSet:
     """Weighted block-marking driver over repetitive regions."""
-    return mark_regions(backend, p, t, analysis, k, k, periodic_matches_ed, _verified_ed)
+    return mark_regions(backend, p, t, analysis, k, k, periodic_matches_ed, _verified_ed,
+                        _dense_edit_scan)
 
 
 # -- top level -------------------------------------------------------------------
 
 def _dense_edit_scan(backend, p: Fragment, t: Fragment, k: int) -> OccurrenceSet:
-    # Large-k route: reversed semi-global alignment, free start on the text
-    # side; row-wise vectorized over text positions.
-    pb = np.frombuffer(backend.bytes_of(p), dtype=np.uint8)[::-1]
-    tb = np.frombuffer(backend.bytes_of(t), dtype=np.uint8)[::-1]
+    """Every start i (0..n) where some t[i:j) is within k edits of p, by
+    Myers' bit-vector algorithm (J. ACM 46(3), 1999) on Python ints,
+    transposed: one step per pattern byte, from the last, with bit vectors
+    over the n text positions.
+
+    The table is D[i][j], the least cost of the last i pattern bytes against
+    t[n-j : n-j+r) for some r, so D[0][j] = 0 (an occurrence's end is free:
+    Pv = Mv = 0 at the start) and D[i][0] = i (a carry of 1 into Ph at each
+    step).  Bit j-1 of Pv / Mv says D[i][j] - D[i][j-1] is +1 / -1; bit
+    n-1-s of the pattern byte's mask says t[s] is that byte.  Start n - j
+    qualifies when D[m][j] = m + (the +1s minus the -1s below bit j) <= k;
+    start n when m <= k.
+    """
+    pb, tb = backend.bytes_of(p), backend.bytes_of(t)
     m, n = len(pb), len(tb)
-    row = np.zeros(n + 1, dtype=np.int32)
-    steps = np.arange(n + 1, dtype=np.int32)
-    for i in range(1, m + 1):
-        nxt = np.empty(n + 1, dtype=np.int32)
-        nxt[0] = i
-        sub = row[:-1] + (tb != pb[i - 1])
-        dele = row[1:] + 1
-        tmp = np.minimum(sub, dele)
-        nxt[1:] = tmp
-        # horizontal insertions: prefix-min along increasing cost slope
-        shifted = np.minimum.accumulate(nxt - steps)
-        np.minimum(nxt, shifted + steps, out=nxt)
-        row = nxt
-    ends = np.flatnonzero(row <= k)
-    return OccurrenceSet.from_positions((n - ends).tolist())
+    mask = (1 << n) - 1
+    # the leading "0" parses an empty text as 0
+    peq = {c: int(b"0" + tb.translate(b"0" * c + b"1" + b"0" * (255 - c)), 2) for c in set(pb)}
+    pv = mv = 0
+    for c in reversed(pb):
+        eq = peq[c]
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = ((mv | ((xh | pv) ^ mask)) << 1) | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ((xv | ph) ^ mask)) & mask
+        mv = ph & xv
+    # D[m][8b] is m plus the running sum of the byte lanes (8 + the popcount
+    # of Pv's byte b - that of Mv's) less 8b.  Within byte b the score falls
+    # by at most the popcount of Mv's byte, so only bytes where it can reach
+    # k are walked bit by bit.
+    size = (n + 7) // 8
+    up, down = pv.to_bytes(size, "little"), mv.to_bytes(size, "little")
+    falls = down.translate(_POPCOUNT)
+    lanes = (int.from_bytes(up.translate(_POPCOUNT), "little") - int.from_bytes(falls, "little")
+             + int.from_bytes(b"\x08" * size, "little")).to_bytes(size, "little")
+    entry = list(accumulate(lanes, initial=m))
+    found = [n] if m <= k else []
+    for b in compress(range(size), map(le, map(sub, entry, falls), range(k, k + 8 * size, 8))):
+        score, u, d = entry[b] - 8 * b, up[b], down[b]
+        for bit in range(min(8, n - 8 * b)):
+            score += (u >> bit & 1) - (d >> bit & 1)
+            if score <= k:
+                found.append(n - 1 - 8 * b - bit)
+    return OccurrenceSet.from_positions(found)
 
 
 def edit_occurrences(backend, p: Fragment, t: Fragment, k: int,

@@ -328,13 +328,14 @@ def break_matches_hd(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int
     """Marking driver for patterns with 2k aperiodic breaks (or the periodic
     matcher, when a break's period is short enough and fits all of p)."""
     return mark_breaks(backend, p, t, analysis, k, 0, _near_power_hd, periodic_matches_hd,
-                       _verified_hd)
+                       _verified_hd, _dense_mismatch_scan)
 
 
 def repetitive_matches_hd(backend, p: Fragment, t: Fragment,
                           analysis: RepetitiveRegions, k: int) -> OccurrenceSet:
     """Weighted-marking driver for patterns covered by repetitive regions."""
-    return mark_regions(backend, p, t, analysis, k, 0, periodic_matches_hd, _verified_hd)
+    return mark_regions(backend, p, t, analysis, k, 0, periodic_matches_hd, _verified_hd,
+                        _dense_mismatch_scan)
 
 
 def _dense_mismatch_scan(backend, p: Fragment, t: Fragment, k: int) -> OccurrenceSet:

@@ -5,10 +5,10 @@ each string followed by a unique negative separator.  Its
 longest-common-extension index is the rank levels of a prefix-doubling
 suffix sort, level t naming every window of width*2^t symbols, built on the
 first lcp, so pure scanning workloads (exact matching, character access)
-build nothing.  An lcp is at most log2(cap/width) rank lookups, one per
-level, and one byte compare shorter than width.  lcp_r, the only
-right-to-left read, gallops backwards over the stored bytes and never
-builds the index.
+build nothing.  An lcp of L is about 2*log2(L/width) rank lookups, up
+the levels and back down (fewer under a shorter cap), and one byte compare
+shorter than width.  lcp_r, the only right-to-left read, gallops backwards
+over the stored bytes and never builds the index.
 """
 
 from __future__ import annotations
@@ -123,8 +123,10 @@ class StandardBackend:
 
     def lcp(self, a: Fragment, b: Fragment) -> int:
         """Longest common prefix: skip width*2^t bytes whenever level t of the
-        index names both windows alike, from the highest level that fits
-        down to 0, then compare the last fewer than width bytes."""
+        index names both windows alike, walking up from level 0 to the first
+        level that differs and then back down to 0, then compare the last
+        fewer than width bytes.  An LCE of L under a cap c costs about
+        2*log2(min(L, c)/width) lookups."""
         la, lb = len(a), len(b)
         if la == 0 or lb == 0:
             return 0
@@ -140,8 +142,17 @@ class StandardBackend:
         width, levels, starts = self._rank
         cap = min(la, lb)
         i, j = starts[a.owner] + a.start, starts[b.owner] + b.start
-        acc = 0
-        for t in range(min(len(levels), (cap // width).bit_length()) - 1, -1, -1):
+        top = min(len(levels), (cap // width).bit_length())
+        acc = t = 0
+        # Up until level t differs at acc, or t reaches the cap's level or the
+        # unkept level where every rank differs: the rest of the LCE, or of
+        # the cap, is then under width*2^t.  Then down, one bit per level.
+        while t < top and levels[t][i + acc] == levels[t][j + acc]:
+            acc += width << t
+            if acc >= cap:
+                return cap
+            t += 1
+        for t in range(t - 1, -1, -1):
             if levels[t][i + acc] == levels[t][j + acc]:
                 acc += width << t
                 if acc >= cap:

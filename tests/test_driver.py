@@ -272,12 +272,14 @@ def test_gap_period_hands_over_on_a_later_break(metric, monkeypatch):
 @pytest.mark.parametrize("metric", sorted(METRICS))
 def test_gap_period_far_from_a_power_stays_on_marking(metric, monkeypatch):
     # The breaks have period 5 in the gap, but the pattern's second half is
-    # random, so it is far more than 8k from every power of the unit.
+    # random, so it is far more than 8k from every power of the unit.  The
+    # text is long enough that verifying the copies' voted starts costs less
+    # than a dense scan.
     m, k, nq = 512, 1, 5
     rng = random.Random(8)
     unit = _primitive_unit(rng, nq)
     p = (unit * m)[:m // 2] + _dna(rng, m - m // 2)
-    t = bytearray(_dna(rng, 3 * m))
+    t = bytearray(_dna(rng, 12 * m))
     for s in (0, m, 2 * m):
         t[s:s + m] = p
     t[m + 300] ^= 3
@@ -291,10 +293,14 @@ def test_gap_period_far_from_a_power_stays_on_marking(metric, monkeypatch):
 @pytest.mark.parametrize("metric", sorted(METRICS))
 def test_period_above_the_gap_stays_on_marking(metric, monkeypatch):
     # |q| = 9 > m/(64k): even an exact power of the unit is marked by breaks.
+    # One copy in random text: a text that is all one power would vote for
+    # every start and go to the dense scan.
     m, k, nq = 512, 1, 9
     rng = random.Random(9)
-    p, t = _gap_case(rng, metric, m, k, nq, 1)
-    _, analysis, calls = _counted_run(monkeypatch, metric, p, t, k)
+    p, _ = _gap_case(rng, metric, m, k, nq, 1)
+    t = bytearray(_dna(rng, 6 * m))
+    t[m:2 * m] = p
+    _, analysis, calls = _counted_run(monkeypatch, metric, p, bytes(t), k)
     assert isinstance(analysis, Breaks)
     assert calls == []
 
@@ -315,7 +321,8 @@ def test_near_power_bound_is_d(metric, errors, monkeypatch):
         assert sum(a != b for a, b in zip(p, unit * m)) == errors
     else:
         assert brute_edl(p, unit) == errors
-    t = bytearray((unit * 4 * m)[:3 * m])
+    # the copy sits in random DNA, so marking's votes stay near it
+    t = bytearray(_dna(rng, 3 * m))
     t[m:2 * m] = p
     t[2 * m + 7] = ord("y")
     _, analysis, calls = _counted_run(monkeypatch, metric, p, bytes(t), k)
@@ -337,3 +344,67 @@ def test_handover_skips_a_gap_break_far_from_the_pattern(metric, monkeypatch):
     assert isinstance(analysis, Breaks)
     assert [per for _, _, per in analysis.items] == [5] * 4
     assert calls == [len(p)]
+
+
+# -- the post-vote choice between verification and the dense scan ---------------------------
+
+DENSE = {"hamming": (hamming, "_dense_mismatch_scan", "_verified_hd"),
+         "edit": (edit, "_dense_edit_scan", "_verified_ed")}
+
+
+def _routed_run(monkeypatch, metric, p, t, k):
+    """The query's outputs, checked against the oracle, with the numbers of
+    dense scans and verify calls that marking made."""
+    match, analyze, brute, _ = METRICS[metric]
+    module, dense_name, verify_name = DENSE[metric]
+    calls = {"dense": 0, "verify": 0}
+
+    def counted(name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(dense_name, "dense")
+    counted(verify_name, "verify")
+    b = StandardBackend([p, t])
+    analysis = analyze(b, b.handle(0), k)
+    assert isinstance(analysis, Breaks)
+    got = match(b, b.handle(0), b.handle(1), k, analysis)
+    assert set(got.positions()) == brute(p, t, k)
+    return got, calls
+
+
+def _planted(rng, p: bytes, n: int, k: int, edits: bool, copies: int) -> bytes:
+    t = bytearray(_dna(rng, n))
+    for s in rng.sample(range(0, n - 2 * len(p), 2 * len(p)), copies):
+        copy = _noisy_copy(rng, p, k, edits)
+        t[s:s + len(copy)] = copy
+    return bytes(t)
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_one_byte_anchors_fall_back_to_the_dense_scan(metric, monkeypatch):
+    # m = 8k: every break is one byte, so nearly every start collects k votes
+    # and one dense scan costs less than verifying them.
+    rng = random.Random(21)
+    for m, k in ((32, 4), (64, 8)):
+        p = _dna(rng, m)
+        t = _planted(rng, p, 20 * m, k, metric == "edit", 4)
+        got, calls = _routed_run(monkeypatch, metric, p, t, k)
+        assert calls == {"dense": 1, "verify": 0} and len(got) > 0
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_long_anchors_keep_marking(metric, monkeypatch):
+    # m = 512, k = 2: 32-byte DNA anchors vote only near the planted copies,
+    # so verifying them beats a dense scan of the 2^16-byte text.
+    rng = random.Random(22)
+    m, k = 512, 2
+    p = _dna(rng, m)
+    t = _planted(rng, p, 1 << 16, k, metric == "edit", 6)
+    got, calls = _routed_run(monkeypatch, metric, p, t, k)
+    assert calls["dense"] == 0 and calls["verify"] > 0 and len(got) >= 6

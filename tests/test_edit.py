@@ -3,7 +3,8 @@ import random
 import pytest
 
 from pillarmatch import ContractError, extract
-from pillarmatch.edit import (EditGenerator, EditGeneratorR, _min_cost_window, analyze_ed,
+from pillarmatch.edit import (EditGenerator, EditGeneratorR, _dense_edit_scan, _min_cost_window,
+                              analyze_ed,
                               break_matches_ed, edit_occurrences, find_a_witness,
                               find_relevant_fragment_ed, locked, periodic_matches_ed,
                               repetitive_matches_ed, synched_matches, verify_ed)
@@ -528,6 +529,52 @@ class TestEditOccurrences:
             dbc = edit_distance(b2, c)
             dac = edit_distance(a, c)
             assert dac + dbc >= dab >= abs(dac - dbc)
+
+
+
+class TestDenseEditScan:
+    """The bit-parallel dense scan against the oracle, called directly."""
+
+    @staticmethod
+    def scan(p: bytes, t: bytes, k: int) -> list[int]:
+        b = StandardBackend([p, t + b"#"])
+        return _dense_edit_scan(b, b.handle(0), extract(b.handle(1), 0, len(t)), k).positions()
+
+    @pytest.mark.parametrize("alphabet", [b"ab", b"acgt", bytes(range(256))],
+                             ids=["ab", "dna", "bytes"])
+    def test_random_vs_oracle(self, alphabet):
+        # n = 0, n = 0 and != 0 (mod 8), n > 64; for each, a random (m, k),
+        # k = m (so m <= k: the empty suffix at n qualifies) and m > n + k.
+        rng = random.Random(len(alphabet))
+        for n in (0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 72, 131, 256, 517):
+            for _ in range(4):
+                m = rng.randrange(1, 48)
+                k = rng.randrange(0, m + 1)
+                cases = [(m, k), (m, m)]
+                kk = rng.randrange(0, 4)
+                cases.append((n + kk + 1 + rng.randrange(4), kk))
+                for m, k in cases:
+                    t = bytes(rng.choice(alphabet) for _ in range(n))
+                    p = bytes(rng.choice(alphabet) for _ in range(m))
+                    got = self.scan(p, t, k)
+                    assert got == sorted(brute_ed_occurrences(p, t, k)), (p, t, k)
+                    assert (n in got) == (m <= k)
+
+    def test_planted_copies(self):
+        # Near copies in a long DNA text: hits sit among many non-hit bytes.
+        rng = random.Random(62)
+        for m, k in ((32, 4), (64, 9), (100, 20)):
+            p = bytes(rng.choice(b"acgt") for _ in range(m))
+            t = bytearray(rng.choice(b"acgt") for _ in range(2000))
+            for s in rng.sample(range(0, 2000 - m, m + 1), 5):
+                copy = bytearray(p)
+                for _ in range(rng.randrange(k + 1)):
+                    copy[rng.randrange(m)] = rng.choice(b"acgt")
+                t[s:s + m] = copy
+            t = bytes(t)
+            got = self.scan(p, t, k)
+            assert got == sorted(brute_ed_occurrences(p, t, k))
+            assert got
 
 
 def _run(p: bytes, t: bytes, k: int) -> list[int]:
