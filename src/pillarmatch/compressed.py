@@ -14,7 +14,7 @@ positions.
 
 from __future__ import annotations
 
-from .driver import BREAK_DIV
+from .driver import BREAK_DIV, runs
 from .edit import analyze_ed, edit_occurrences, verify_ed
 from .hamming import analyze_hd, mismatch_occurrences
 from .pillar import ContractError, OccurrenceSet, extract
@@ -54,7 +54,8 @@ def _window_starts(g_t: Slp, sym: int, bl: int, cl: int, pattern: bytes, k: int,
     starts = [pos for pos in match(backend, p, w, k, analysis).positions() if pos < bl]
     if metric == EDIT:
         inside = extract(w, 0, bl)
-        starts = [pos for pos in starts if not verify_ed(backend, p, inside, k, (pos, pos))]
+        fits = {pos for run in runs(starts) for pos in verify_ed(backend, p, inside, k, run)}
+        starts = [pos for pos in starts if pos not in fits]
     return starts
 
 

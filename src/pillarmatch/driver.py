@@ -165,9 +165,10 @@ def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchor
     occurrence at s lands within +-pad of s + offset, so (tau - offset)//pad
     is within one of s//pad, and votes go to the pad-wide block of starts
     holding tau - offset and its two neighbours.  An anchor adds its weight
-    at most once to each start or block, and each voted start or block is
-    verified once.  verify(backend, p, t, k, lo, hi) returns the occurrence
-    starts in [lo, hi].
+    at most once to each start or block, and each run of consecutive voted
+    starts or blocks is verified once, as one interval:
+    verify(backend, p, t, k, lo, hi) returns the occurrence starts in
+    [lo, hi].
 
     Scanning the whole text rather than blocks of it loses nothing: the
     whole-text hits are a superset of every block's hits, so every true
@@ -201,10 +202,22 @@ def _vote_and_verify(backend, p: Fragment, t: Fragment, k: int, pad: int, anchor
     if len(marked) * width * (k + 1) ** (2 if pad else 1) > m * (1 + n // DENSE_BYTES):
         return dense(backend, p, t, k)
     found: list[int] = []
-    for key in marked:
-        lo = key * width
-        found.extend(verify(backend, p, t, k, lo, min(lo + width - 1, max_start)))
+    for first, last in runs(marked):
+        found.extend(verify(backend, p, t, k, first * width,
+                            min(last * width + width - 1, max_start)))
     return OccurrenceSet.from_positions(found)
+
+
+def runs(xs: list[int]):
+    """The maximal runs of consecutive integers in an ascending list, as
+    closed intervals (first, last)."""
+    i = 0
+    while i < len(xs):
+        j = i
+        while j + 1 < len(xs) and xs[j + 1] == xs[j] + 1:
+            j += 1
+        yield xs[i], xs[j]
+        i = j + 1
 
 
 def mark_breaks(backend, p: Fragment, t: Fragment, analysis: Breaks, k: int,

@@ -2,9 +2,11 @@
 
 All alignments but the dense scan (Myers' bit vectors, for 8k > m or when
 marking would verify nearly every start) are Landau-Vishkin bands:
-diagonals advanced by lcp jumps.  Bounded-cost probes -- verifying candidate starts, and witness search
-(where in q^inf a string aligns best) -- share one byte-level kernel,
-`_min_cost_window`.  Where steps or a traceback are needed, a resumable
+diagonals advanced by lcp jumps.  Two byte-level bands probe bounded
+costs: `verify_ed` settles a whole interval of candidate starts in one
+band run right to left, and `_min_cost_window` finds the cheapest
+alignment from one start, for witness search (where in q^inf a string
+aligns best).  Where steps or a traceback are needed, a resumable
 generator on the fragment interface's lcp serves instead: its c-th step
 reports the longest prefix of a string within c edits of a prefix of a
 period's power.  It drives region growth, locked fragments (short pieces
@@ -23,8 +25,8 @@ from operator import le, sub
 
 from .driver import (DENSITY, ApproxPeriod, Breaks, PatternAnalysis, RepetitiveRegions,
                      analyze, mark_breaks, mark_regions, occurrences, per_block)
-from .pillar import (ContractError, Fragment, Mirror, OccurrenceSet, _lcp_bytes, extract, flip,
-                     lcp_power, rotations)
+from .pillar import (ContractError, Fragment, Mirror, OccurrenceSet, _gallop, _lcp_bytes, extract,
+                     flip, lcp_power, rotations)
 
 _NEG = -(1 << 60)
 _POPCOUNT = bytes(i.bit_count() for i in range(256))
@@ -147,8 +149,9 @@ def _min_cost_window(pb: bytes, tb: bytes, wlo: int, whi: int, k: int
     Returns (cost, used): cost is min over r <= whi-wlo of
     delta_E(pb, tb[wlo:wlo+r)), and used is the window length the cheapest
     alignment consumes, m + i for the first (lowest) diagonal i to reach m
-    at that cost.  Diagonals advance by galloping byte-level lcp jumps;
-    verification and witness search both probe through this loop.
+    at that cost.  Diagonals advance by galloping byte-level lcp jumps.
+    Witness search probes each rotation through this loop; verification
+    runs its own band over a whole interval of starts (`verify_ed`).
     """
     m = len(pb)
     nw = whi - wlo
@@ -191,20 +194,75 @@ def verify_ed(backend, p: Fragment, t: Fragment, k: int,
               interval: tuple[int, int]) -> list[int]:
     """Occurrence starts of p in t within the closed interval, ascending.
 
-    Runs one independent banded alignment per candidate start; a start
-    qualifies when some prefix of t[pos:] is within k edits of p.  Only p
-    and the text those starts can reach, t[lo : hi+m+k), are materialized,
-    once, and probed with byte-level lcp jumps.
+    A start qualifies when some prefix of t[pos:] is within k edits of p.
+    Every start of the interval is settled by one Landau-Vishkin band
+    (k-differences, J. Algorithms 10(2), 1989) run right to left over the
+    window tb = t[lo : hi+m+k), the only text a start can reach, with p's
+    bytes: the occurrence's end is free, its start fixed.  Diagonal o is
+    the alignments that end at window offset o; row r on it has matched
+    p's last r bytes, up to offset o - r.  A level adds one edit: a
+    substitution keeps o, a skipped text byte comes from o + 1 at the same
+    row, a skipped pattern byte from o - 1 one row on.  Rows reach m at
+    most, and o at most (offset 0 is the window's start); a clamped
+    diagonal keeps feeding its neighbours.  Start lo + s qualifies when
+    diagonal s + m reaches row m within k levels.
+
+    Level 0 galloping runs on the target diagonals first, and on the 2k
+    flank diagonals only if some target is still undecided; level e spans
+    the hull of the undecided targets widened by the k - e levels left.
+    An interval of W starts costs about (W + 2k)(k + 1) backward lcp jumps.
     """
     m, n = len(p), len(t)
-    lo, hi = max(0, interval[0]), min(interval[1], n)
+    k = min(k, m)  # deleting all of p costs m: with k >= m every start up to n qualifies
+    lo, hi = max(0, interval[0]), min(interval[1], n - m + k)
     if hi < lo:
         return []
     end = min(n, hi + m + k)
     pb = backend.bytes_of(p)
     tb = backend.bytes_of(extract(t, lo, end))
-    return [pos for pos in range(lo, hi + 1)
-            if _min_cost_window(pb, tb, pos - lo, min(end, pos + m + k) - lo, k) is not None]
+    nw = end - lo
+    base = m - k  # the lowest diagonal that can reach a target within k levels
+    top = hi - lo + m
+    first, last = m, top  # the hull of the undecided target diagonals
+    rows = [_NEG] * (top - base + k + 1)
+
+    def slide(o: int, r: int) -> int:
+        # row r of diagonal o, clamped, then one backward lcp jump
+        c = m if m < o else o
+        if r >= c:
+            return c
+        if pb[m - r - 1] != tb[o - r - 1]:
+            return r
+        a, b = m - r, o - r
+        return r + _gallop(lambda l: pb[a - l:a] == tb[b - l:b], c - r)
+
+    def level0(a: int, b: int) -> None:
+        for o in range(a, min(b, nw) + 1):
+            rows[o - base] = slide(o, 0)
+
+    level0(m, top)
+    e = 0
+    while True:
+        while first <= last and rows[first - base] >= m:
+            first += 1
+        while first <= last and rows[last - base] >= m:
+            last -= 1
+        if first > last or e == k:
+            break
+        if e == 0:
+            level0(first - k, m - 1)
+            level0(top + 1, last + k)
+        e += 1
+        left = rows[first - k + e - base - 1]
+        for i in range(first - k + e - base, last + k - e - base + 1):
+            here = rows[i]
+            r = (left if left > here else here) + 1
+            if rows[i + 1] > r:
+                r = rows[i + 1]
+            left = here
+            if r >= 0:
+                rows[i] = slide(i + base, r)
+    return [lo + o - m for o in range(m, hi - lo + m + 1) if rows[o - base] >= m]
 
 
 # -- pattern analysis ---------------------------------------------------------

@@ -304,8 +304,9 @@ def periodic_matches_hd(backend, p: Fragment, t: Fragment, k: int, d: int, q: Fr
 
 
 def _verified_hd(backend, p: Fragment, t: Fragment, k: int, lo: int, hi: int) -> list[int]:
-    # Mismatch marking votes for single starts, so lo == hi.
-    return [lo] if verify_hd(backend, p, extract(t, lo, lo + len(p)), k) else []
+    # One verify_hd per start of [lo, hi]; each needs lo >= 0 and hi <= n - m.
+    m = len(p)
+    return [pos for pos in range(lo, hi + 1) if verify_hd(backend, p, extract(t, pos, pos + m), k)]
 
 
 def _near_power_hd(backend, p: Fragment, off: int, per: int, d: int) -> tuple[Fragment] | None:

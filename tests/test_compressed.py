@@ -327,3 +327,54 @@ class TestWindowMemo:
         spare = 15 if metric == HAMMING else 14
         assert totals == [2 ** 20 - spare, 2 ** 60 - spare]
         assert 0 < calls[0] == calls[1]
+
+
+class TestInsideCheckRuns:
+    """The edit check "does this occurrence also fit inside gen(B)?" runs
+    once per run of consecutive crossing starts of a window."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_power_totals(self, k):
+        # every start up to n - m + k of a^n holds an edit occurrence of a^m
+        g_t = power_slp(b"a", 13)
+        g_p = power_slp(b"a", 12)
+        n, m = 2 ** 13, 2 ** 12
+        assert count_occurrences_compressed(g_t, g_p, k, EDIT) == n - m + k + 1
+        assert report_occurrences_compressed(g_t, g_p, k, EDIT).positions() == \
+            list(range(n - m + k + 1))
+
+    def test_one_call_per_run(self, monkeypatch):
+        import pillarmatch.compressed as compressed
+
+        real_matcher, real_verify = compressed._matcher, compressed.verify_ed
+        windows: list[tuple[list[int], list[tuple[tuple[int, int], int]]]] = []
+
+        def matcher(name):
+            fn = real_matcher(name)
+
+            def wrapped(*args):
+                out = fn(*args)
+                windows.append((out.positions(), []))
+                return out
+            return wrapped
+
+        def verify(backend, p, t, k, interval):
+            windows[-1][1].append((interval, len(t)))
+            return real_verify(backend, p, t, k, interval)
+
+        monkeypatch.setattr(compressed, "_matcher", matcher)
+        monkeypatch.setattr(compressed, "verify_ed", verify)
+        g_t = power_slp(b"a", 10)
+        count_occurrences_compressed(g_t, left_comb_slp(b"a" * 40, g_t.params), 1, EDIT)
+        g_t = fibonacci_slp(14)
+        count_occurrences_compressed(g_t, left_comb_slp(b"abaab", g_t.params), 1, EDIT)
+        calls = starts = 0
+        for positions, checks in windows:
+            if not checks:
+                continue
+            bl = checks[0][1]  # the inside check reads the window's first bl bytes
+            crossing = [pos for pos in positions if pos < bl]
+            assert [interval for interval, _ in checks] == list(compressed.runs(crossing))
+            calls += len(checks)
+            starts += len(crossing)
+        assert 0 < calls < starts

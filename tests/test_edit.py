@@ -163,21 +163,67 @@ class TestVerifyEd:
 
     def test_against_oracle(self):
         # Random closed intervals, some reaching past either end of t; the
-        # starts come back ascending in t's coordinates.
+        # starts come back ascending in t's coordinates.  Besides random
+        # binary strings: texts a^n; starts within k of t's end whose
+        # occurrences delete p's tail (p is t's suffix plus a few bytes); k up
+        # to m; intervals wider than m; and the alphabet acgt with planted
+        # near-copies of p.
         rng = random.Random(54)
+        cases = []
         for _ in range(200):
             n = rng.randrange(0, 30)
             m = rng.randrange(1, 12)
             k = rng.randrange(0, 5)
             t = bytes(rng.randrange(2) + 97 for _ in range(n))
             p = bytes(rng.randrange(2) + 97 for _ in range(m))
+            lo = rng.randrange(-2, n + 2)
+            cases.append((p, t, k, lo, rng.randrange(lo - 1, n + 3)))
+        for n in range(0, 26):
+            m = rng.randrange(1, 12)
+            p = bytearray(b"a" * m)
+            if rng.randrange(2):
+                p[rng.randrange(m)] = ord("b")
+            cases.append((bytes(p), b"a" * n, rng.randrange(0, m + 1), -1, n + 1))
+        for _ in range(60):
+            n = rng.randrange(4, 30)
+            t = bytes(rng.randrange(2) + 97 for _ in range(n))
+            tail = bytes(rng.randrange(2) + 97 for _ in range(rng.randrange(1, 5)))
+            p = t[n - rng.randrange(0, 4):] + tail
+            k = min(len(p), len(tail) + rng.randrange(-1, 2))
+            cases.append((p, t, k, n - len(p) - k - 2, n + 2))
+        for _ in range(60):
+            n = rng.randrange(0, 30)
+            m = rng.randrange(1, 10)
+            t = bytes(rng.randrange(2) + 97 for _ in range(n))
+            p = bytes(rng.randrange(2) + 97 for _ in range(m))
+            cases.append((p, t, rng.randrange(m // 2, m + 1), -2, n + 2))
+        for _ in range(60):
+            n = rng.randrange(10, 60)
+            m = rng.randrange(1, 7)
+            t = bytes(rng.randrange(3) + 97 for _ in range(n))
+            p = bytes(rng.randrange(3) + 97 for _ in range(m))
+            lo = rng.randrange(-2, 4)
+            cases.append((p, t, rng.randrange(0, 3), lo, lo + m + rng.randrange(1, n)))
+        for _ in range(100):
+            n = rng.randrange(0, 40)
+            m = rng.randrange(1, 14)
+            t = bytearray(rng.choice(b"acgt") for _ in range(n))
+            p = bytes(rng.choice(b"acgt") for _ in range(m))
+            k = rng.randrange(0, min(m, 6) + 1)
+            if n > m:
+                s = rng.randrange(n - m + 1)
+                t[s:s + m] = p
+                for _ in range(rng.randrange(0, k + 2)):
+                    t[rng.randrange(n)] = rng.choice(b"acgt")
+            lo = rng.randrange(-3, n + 3)
+            cases.append((p, bytes(t), k, lo, rng.randrange(lo - 1, n + 4)))
+        for p, t, k, lo, hi in cases:
+            n, m = len(t), len(p)
             b = be(p, t + b"#")
             ht = extract(b.handle(1), 0, n)
-            lo = rng.randrange(-2, n + 2)
-            hi = rng.randrange(lo - 1, n + 3)
             got = verify_ed(b, b.handle(0), ht, k, (lo, hi))
             want = {pos for pos in brute_ed_occurrences(p, t, k) if lo <= pos <= hi}
-            assert got == sorted(want)
+            assert got == sorted(want), (p, t, k, lo, hi)
             for pos in got:
                 best = min(edit_distance(p, t[pos:r]) for r in range(pos, n + 1))
                 assert _min_cost_window(p, t, pos, min(n, pos + m + k), k)[0] == best

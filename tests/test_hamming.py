@@ -4,7 +4,7 @@ import pytest
 
 from pillarmatch import ContractError, extract
 from pillarmatch.hamming import (ApproxPeriod, Breaks, MismatchGenerator, RepetitiveRegions,
-                                 _pattern_mismatches, analyze_hd, break_matches_hd,
+                                 _pattern_mismatches, _verified_hd, analyze_hd, break_matches_hd,
                                  distances_rle, find_relevant_fragment_hd, find_rotation,
                                  mismatch_occurrences, mismatches, periodic_matches_hd,
                                  repetitive_matches_hd, verify_hd)
@@ -84,6 +84,21 @@ class TestVerify:
         b = be(b"ab", b"abc")
         with pytest.raises(ContractError):
             verify_hd(b, b.handle(0), b.handle(1), 1)
+
+    def test_interval_against_oracle(self):
+        # marking hands _verified_hd whole runs of voted starts, not only lo == hi
+        rng = random.Random(77)
+        for _ in range(200):
+            n = rng.randrange(1, 40)
+            m = rng.randrange(1, n + 1)
+            k = rng.randrange(0, m + 1)
+            t = bytes(rng.randrange(2) + 97 for _ in range(n))
+            p = bytes(rng.randrange(2) + 97 for _ in range(m))
+            lo = rng.randrange(0, n - m + 1)
+            hi = rng.randrange(lo, n - m + 1)
+            b = be(p, t)
+            want = sorted(s for s in brute_hd_occurrences(p, t, k) if lo <= s <= hi)
+            assert _verified_hd(b, b.handle(0), b.handle(1), k, lo, hi) == want
 
 
 class TestAnalyze:
