@@ -44,15 +44,19 @@ MARK_DIV = 4
 
 # After voting, `_vote_and_verify` runs the dense scan when verifying the
 # voted starts would cost more.  Both estimates count units: verification
-# one per lcp jump, (k+1) per start for mismatches and a band of (k+1)^2
-# for edits; the dense scan one per step, a numpy pass (mismatches) or a
-# round of big-int operations (edits) per pattern byte, plus one per
-# DENSE_BYTES text bytes of each step.  Timed on random DNA on a 2-core
-# host (m 16..1024, n 2^6..2^16, k 1..8), a verification unit cost 2.6-5.7
-# us for mismatches and 0.9-2.9 us for edits; a dense step cost 2.9-3.9 us
-# (numpy) or 0.6-1.1 us (big ints, m >= 64), plus 0.3-0.5 us per 1024 text
-# bytes.  So the estimates stay within about 4x of each other, and where
-# they drift, for long texts, they favour verification.
+# (k+1) per start for mismatches and a band of (k+1)^2 for edits; the dense
+# scan one per step, a numpy pass (mismatches) or a round of big-int
+# operations (edits) per pattern byte, plus one per DENSE_BYTES text bytes
+# of each step.  Timed on random DNA on a 2-core host (m 16..1024, n
+# 2^6..2^16, k 1..8), an edit verification unit cost 0.9-2.9 us; a dense
+# step cost 2.9-3.9 us (numpy) or 0.6-1.1 us (big ints, m >= 64), plus
+# 0.3-0.5 us per 1024 text bytes.  A mismatch verification is one XOR pass
+# over the start's m bytes, not k+1 lcp jumps: 1.1, 1.3, 2.0 and 5.0 us a
+# start at (m, k) = (16, 1), (64, 2), (256, 4) and (1024, 8), 16 us at
+# (4096, 16).  That is 0.4-0.6 us a unit, so the estimate overstates
+# verification 5-10x against a numpy step.  The rule is left as it was
+# timed (2.6-5.7 us a unit, with lcp jumps), so no query changes route;
+# re-measure both routes before retuning it.
 DENSE_BYTES = 2048
 
 

@@ -1,8 +1,9 @@
 """Pattern matching with up to k mismatches.
 
 What is particular to the Hamming metric: the mismatch generators (lcp
-jumps against a power of a period), verification by lcp jumping, region
-growth for the pattern analysis, and the periodic machinery -- a relevant
+jumps against a power of a period), verification by XOR over both
+fragments' bytes (no lcp, so no LCE index), region growth for the
+pattern analysis, and the periodic machinery -- a relevant
 fragment locked to one rotation of the period, then one run-length sweep
 of the distances at all period-aligned alignments.  The analysis sweep, the
 block split, marking and routing are shared with the edit metric in
@@ -82,20 +83,18 @@ def mismatches(backend, s: Fragment, q: Fragment, rotation: int = 0) -> list[int
 
 
 def verify_hd(backend, s: Fragment, t: Fragment, k: int) -> bool:
-    """Hamming distance of equal-length fragments at most k? Stops early."""
+    """Hamming distance of equal-length fragments at most k?
+
+    Reads both fragments' bytes and counts the mismatches in C-level
+    passes over them: the bytes where the XOR of the two strings, read as
+    integers, is nonzero.  No lcp is asked, so no LCE index is built.
+    """
     if len(s) != len(t):
         raise ContractError("verify_hd needs equal lengths")
     n = len(s)
-    i = 0
-    budget = k
-    while True:
-        i += backend.lcp(extract(s, i, n), extract(t, i, n))
-        if i >= n:
-            return True
-        if budget == 0:
-            return False
-        budget -= 1
-        i += 1
+    a, b = backend.bytes_of(s), backend.bytes_of(t)
+    x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return n - x.to_bytes(n, "little").count(0) <= k
 
 
 # -- pattern analysis --------------------------------------------------------

@@ -5,10 +5,14 @@ each string followed by a unique negative separator.  Its
 longest-common-extension index is the rank levels of a prefix-doubling
 suffix sort, level t naming every window of width*2^t symbols, built on the
 first lcp, so pure scanning workloads (exact matching, character access)
-build nothing.  An lcp of L is about 2*log2(L/width) rank lookups, up
-the levels and back down (fewer under a shorter cap), and one byte compare
-shorter than width.  lcp_r, the only right-to-left read, gallops backwards
-over the stored bytes and never builds the index.
+build nothing.  Verification asks no lcp either: Hamming verification XORs
+the two fragments' bytes, and edit verification compares bytes too.  The
+callers that still build the index are the mismatch and edit-error
+generators (the analysis' region growth among them), the periodic
+machinery and `period`.  An lcp of L is about 2*log2(L/width) rank
+lookups, up the levels and back down (fewer under a shorter cap), and one
+byte compare shorter than width.  lcp_r, the only right-to-left read,
+gallops backwards over the stored bytes and never builds the index.
 """
 
 from __future__ import annotations

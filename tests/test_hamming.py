@@ -10,6 +10,7 @@ from pillarmatch.hamming import (ApproxPeriod, Breaks, MismatchGenerator, Repeti
                                  repetitive_matches_hd, verify_hd)
 from pillarmatch.oracle import brute_hd_occurrences
 from pillarmatch.pillar import period
+from pillarmatch.slp import SlpBackend, left_comb_slp
 from pillarmatch.standard import StandardBackend
 
 
@@ -84,6 +85,46 @@ class TestVerify:
         b = be(b"ab", b"abc")
         with pytest.raises(ContractError):
             verify_hd(b, b.handle(0), b.handle(1), 1)
+
+    @pytest.mark.parametrize("kind", ["standard", "slp"])
+    def test_against_naive_all_bytes(self, kind):
+        # Every byte value, NUL and 0xff included; fragments start inside
+        # their strings, so bytes_of reads a slice on both backends.
+        rng = random.Random(78)
+        cases = []
+        for n in range(301):
+            s = bytes(rng.randrange(256) for _ in range(n))
+            t = bytearray(s)
+            for i in rng.sample(range(n), rng.randrange(n + 1)):
+                t[i] = (t[i] + rng.randrange(1, 256)) % 256
+            cases.append((s, bytes(t)))
+            if n:
+                for i in (0, n - 1):
+                    u = bytearray(s)
+                    u[i] ^= rng.choice([0x01, 0x80, 0xff])
+                    cases.append((s, bytes(u)))
+                cases.append((s, s))
+                cases.append((bytes(n), b"\xff" * n))
+        for s, t in cases:
+            n = len(s)
+            strings = [b"\x00" + s + b"\xff", b"\xff" + t + b"\x00"]
+            b = be(*strings) if kind == "standard" else SlpBackend(
+                [left_comb_slp(x) for x in strings])
+            fs, ft = extract(b.handle(0), 1, n + 1), extract(b.handle(1), 1, n + 1)
+            hd = sum(x != y for x, y in zip(s, t))
+            for k in {0, hd - 1, hd, hd + 1, n, rng.randrange(n + 1)}:
+                if 0 <= k <= n:
+                    assert verify_hd(b, fs, ft, k) == (hd <= k), (s, t, k)
+
+    def test_verification_builds_no_index(self):
+        rng = random.Random(79)
+        p = bytes(rng.choice(b"acgt") for _ in range(64))
+        t = bytes(rng.choice(b"acgt") for _ in range(512))
+        b = be(p, t)
+        want = sorted(brute_hd_occurrences(p, t, 48))
+        assert 0 < len(want) < len(t) - len(p)
+        assert _verified_hd(b, b.handle(0), b.handle(1), 48, 0, len(t) - len(p)) == want
+        assert b._rank is None
 
     def test_interval_against_oracle(self):
         # marking hands _verified_hd whole runs of voted starts, not only lo == hi
@@ -403,6 +444,25 @@ class TestMismatchOccurrences:
             b = be(p, t)
             got = set(mismatch_occurrences(b, b.handle(0), b.handle(1), k).positions())
             assert got == brute_hd_occurrences(p, t, k)
+
+    def test_planted_breaks_query_builds_no_index(self):
+        # The breaks route on random DNA: the anchors' exact scans and the
+        # verification of the voted starts read bytes only.
+        rng = random.Random(51)
+        m, n, k = 512, 1 << 14, 2
+        p = bytes(rng.choice(b"acgt") for _ in range(m))
+        t = bytearray(rng.choice(b"acgt") for _ in range(n))
+        for s in rng.sample(range(0, n - m, m), 3):
+            copy = bytearray(p)
+            for i in rng.sample(range(m), rng.randrange(k + 1)):
+                copy[i] = rng.choice(b"acgt")
+            t[s:s + m] = copy
+        t = bytes(t)
+        b = be(p, t)
+        assert isinstance(analyze_hd(b, b.handle(0), k), Breaks)
+        got = mismatch_occurrences(b, b.handle(0), b.handle(1), k).positions()
+        assert len(got) >= 3 and set(got) == brute_hd_occurrences(p, t, k)
+        assert b._rank is None
 
     def test_periodic_route_many_blocks_vs_oracle(self):
         # Texts of 3m..4m bytes span at least 6 overlapping blocks.  Errors sit
